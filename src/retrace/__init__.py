@@ -5,7 +5,7 @@ from .interp import OracleReport, RunResult, check_triple_random, run
 from .lang import Program, SourceError, load, load_file, parse, pretty, resolve
 from .regex import Regex, derive, equivalent, included, member, nullable
 from .solver import BuiltinSolver, SmtLibSolver, make_solver
-from .tracespec import TraceSpec, complete, eval_at, frame_prefix, inclusion_obligations
+from .tracespec import TraceSpec, complete, eval_at, inclusion_obligations
 from .verifier import VerdictReport, Verifier, verify_program
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "equivalent",
     "eval_at",
     "evaluate",
-    "frame_prefix",
     "included",
     "inclusion_obligations",
     "load",

@@ -236,24 +236,37 @@ def implies(p: Formula, q: Formula) -> Formula:
     return Implies(p, q)
 
 
+def atoms(f: Formula) -> tuple[Formula, ...]:
+    """The distinct boolean-variable and comparison atoms of `f`, in order of
+    first occurrence, left to right (an implication's premise first)."""
+    seen: dict[Formula, None] = {}
+
+    def walk(g: Formula) -> None:
+        if isinstance(g, (BoolRef, Cmp)):
+            seen.setdefault(g)
+        elif isinstance(g, Not):
+            walk(g.arg)
+        elif isinstance(g, (And, Or)):
+            for a in g.args:
+                walk(a)
+        elif isinstance(g, Implies):
+            walk(g.lhs)
+            walk(g.rhs)
+
+    walk(f)
+    return tuple(seen)
+
+
+def atom_vars(a: Formula) -> tuple[Var, ...]:
+    """The variables of one atom, those of a comparison's lhs first."""
+    if isinstance(a, BoolRef):
+        return (a.var,)
+    assert isinstance(a, Cmp)
+    return tuple(v for t in (a.lhs, a.rhs) for v, _ in t.coeffs)
+
+
 def free_vars(f: Formula) -> frozenset[Var]:
-    if isinstance(f, BoolLit):
-        return frozenset()
-    if isinstance(f, BoolRef):
-        return frozenset((f.var,))
-    if isinstance(f, Cmp):
-        return frozenset(v for v, _ in f.lhs.coeffs) | frozenset(
-            v for v, _ in f.rhs.coeffs
-        )
-    if isinstance(f, Not):
-        return free_vars(f.arg)
-    if isinstance(f, (And, Or)):
-        out: frozenset[Var] = frozenset()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    assert isinstance(f, Implies)
-    return free_vars(f.lhs) | free_vars(f.rhs)
+    return frozenset(v for a in atoms(f) for v in atom_vars(a))
 
 
 def prime(f: Formula) -> Formula:
@@ -289,11 +302,16 @@ def _subst_term(t: Term, sub: Substitution, partial: bool) -> Term:
     return acc
 
 
-def substitute(f: Formula, sub: Substitution, partial: bool = True) -> Formula:
-    """Capture-free substitution of variables by terms, formulas, or values.
+def substitute(
+    f: Union[Formula, Term], sub: Substitution, partial: bool = True
+) -> Union[Formula, Term]:
+    """Capture-free substitution of variables by terms, formulas, or values,
+    in a formula or in a linear term.
 
     With `partial` (the default) unmapped variables are left in place.
     """
+    if isinstance(f, Term):
+        return _subst_term(f, sub, partial)
     if isinstance(f, BoolLit):
         return f
     if isinstance(f, BoolRef):

@@ -19,13 +19,11 @@ from .formula import (
     BoolRef,
     Cmp,
     Formula,
-    And,
-    Implies,
-    Not,
-    Or,
     BoolLit,
     Term,
     Var,
+    atom_vars,
+    atoms,
     cmp,
     conj,
     disj,
@@ -916,20 +914,6 @@ def pretty(p: Program) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _formula_ints(f: Formula, acc: set[int]) -> None:
-    if isinstance(f, Cmp):
-        acc.add(f.lhs.const)
-        acc.add(f.rhs.const)
-    elif isinstance(f, Not):
-        _formula_ints(f.arg, acc)
-    elif isinstance(f, (And, Or)):
-        for a in f.args:
-            _formula_ints(a, acc)
-    elif isinstance(f, Implies):
-        _formula_ints(f.lhs, acc)
-        _formula_ints(f.rhs, acc)
-
-
 class _Resolver:
     def __init__(self, p: Program) -> None:
         self.p = p
@@ -991,16 +975,23 @@ class _Resolver:
             self.check_formula(o.guard, proc, primed_ok)
 
     def check_formula(self, f: Formula, proc: Optional[Procedure], primed_ok: bool) -> None:
-        _formula_ints(f, self.ints)
-        for v in sorted(_fvars(f)):
+        kinds: dict[Var, str] = {}
+        for a in atoms(f):
+            if isinstance(a, Cmp):
+                self.ints.update((a.lhs.const, a.rhs.const))
+            for v in atom_vars(a):
+                kinds.setdefault(v, "bool" if isinstance(a, BoolRef) else "int")
+        for v in sorted(kinds):
             if v.primed and not primed_ok:
                 raise TypeMismatch(f"primed variable {v} not allowed here", *_at(proc.span if proc else None))
             ty = self.p.var_type(v.name, proc)
             if ty is None:
                 raise UndeclaredVariable(f"variable {v.name!r} not declared", *_at(proc.span if proc else None))
-            expected = _var_kind(f, v)
-            if expected is not None and expected != ty:
-                raise TypeMismatch(f"variable {v} used as {expected}, declared {ty}", *_at(proc.span if proc else None))
+            if kinds[v] != ty:
+                raise TypeMismatch(
+                    f"variable {v} used as {kinds[v]}, declared {ty}",
+                    *_at(proc.span if proc else None),
+                )
 
     def check_cmd(self, c: Command, proc: Procedure) -> None:
         p = self.p
@@ -1083,34 +1074,6 @@ class _Resolver:
 
 def _at(span: Optional[Span]) -> tuple[Optional[int], Optional[int]]:
     return (span.line, span.col) if span else (None, None)
-
-
-def _fvars(f: Formula) -> frozenset[Var]:
-    from .formula import free_vars
-
-    return free_vars(f)
-
-
-def _var_kind(f: Formula, v: Var) -> Optional[str]:
-    """How `v` is used inside `f`: "bool", "int", or None if absent."""
-    if isinstance(f, BoolRef):
-        return "bool" if f.var == v else None
-    if isinstance(f, Cmp):
-        for t in (f.lhs, f.rhs):
-            if any(w == v for w, _ in t.coeffs):
-                return "int"
-        return None
-    if isinstance(f, Not):
-        return _var_kind(f.arg, v)
-    if isinstance(f, (And, Or)):
-        for a in f.args:
-            k = _var_kind(a, v)
-            if k is not None:
-                return k
-        return None
-    if isinstance(f, Implies):
-        return _var_kind(f.lhs, v) or _var_kind(f.rhs, v)
-    return None
 
 
 def _assigned(c: Command, mods: set[str], callees: set[str]) -> None:

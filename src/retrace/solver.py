@@ -26,6 +26,8 @@ from .formula import (
     Or,
     Term,
     Var,
+    atom_vars,
+    atoms,
     conj,
     free_vars,
     neg,
@@ -73,7 +75,6 @@ class Solver:
 
 # A linear constraint `coeffs . vars <= bound` over the integers.
 Lin = tuple[tuple[tuple[Var, int], ...], int]
-Cmp_pol = tuple[Cmp, bool]
 
 _WIDE_INTERVAL = 4096
 _UNBOUNDED_WINDOW = 33
@@ -102,9 +103,10 @@ def _term_pair(t: Term) -> tuple[dict[Var, int], int]:
     return ({v: c for v, c in t.coeffs}, t.const)
 
 
-def _atom_constraints(atom: Cmp, value: bool) -> Optional[list[tuple[dict[Var, int], int]]]:
-    """Constraints (coeffs <= bound) for one comparison literal, or None for
-    a disequality, which needs a case split."""
+def _atom_constraints(atom: Cmp, value: bool) -> list[list[tuple[dict[Var, int], int]]]:
+    """The alternatives for one comparison literal, each a conjunction of
+    constraints (coeffs <= bound); only a disequality has two, lhs < rhs
+    and lhs > rhs."""
     lc, lk = _term_pair(atom.lhs)
     rc, rk = _term_pair(atom.rhs)
     diff = dict(lc)
@@ -114,30 +116,17 @@ def _atom_constraints(atom: Cmp, value: bool) -> Optional[list[tuple[dict[Var, i
     op = atom.op
     if not value:
         op = {"==": "!=", "!=": "==", "<": ">=", "<=": ">"}[op]
-    if op == "==":
-        return [(diff, k), ({v: -c for v, c in diff.items()}, -k)]
-    if op == "<":
-        return [(diff, k - 1)]
-    if op == "<=":
-        return [(diff, k)]
-    if op == ">":
-        return [({v: -c for v, c in diff.items()}, -k - 1)]
-    if op == ">=":
-        return [({v: -c for v, c in diff.items()}, -k)]
-    return None  # "!=": split elsewhere
-
-
-def _diseq_branches(atom: Cmp, value: bool) -> tuple[tuple[dict[Var, int], int], tuple[dict[Var, int], int]]:
-    """The two strict alternatives of a disequality literal."""
-    lc, lk = _term_pair(atom.lhs)
-    rc, rk = _term_pair(atom.rhs)
-    diff = dict(lc)
-    for v, c in rc.items():
-        diff[v] = diff.get(v, 0) - c
-    k = rk - lk
-    lt = (diff, k - 1)
-    gt = ({v: -c for v, c in diff.items()}, -k - 1)
-    return lt, gt
+    flipped = {v: -c for v, c in diff.items()}
+    lt, le = (diff, k - 1), (diff, k)
+    gt, ge = (flipped, -k - 1), (flipped, -k)
+    return {
+        "==": [[le, ge]],
+        "!=": [[lt], [gt]],
+        "<": [[lt]],
+        "<=": [[le]],
+        ">": [[gt]],
+        ">=": [[ge]],
+    }[op]
 
 
 def _eliminate(x: Var, cons: list[Lin]) -> Optional[list[Lin]]:
@@ -288,24 +277,7 @@ class BuiltinSolver(Solver):
         return hit
 
     def _solve(self, f: Formula) -> SatResult:
-        atoms: list[Formula] = []
-        seen: set[Formula] = set()
-
-        def collect(g: Formula) -> None:
-            if isinstance(g, (BoolRef, Cmp)):
-                if g not in seen:
-                    seen.add(g)
-                    atoms.append(g)
-            elif isinstance(g, Not):
-                collect(g.arg)
-            elif isinstance(g, (And, Or)):
-                for a in g.args:
-                    collect(a)
-            elif isinstance(g, Implies):
-                collect(g.lhs)
-                collect(g.rhs)
-
-        collect(f)
+        f_atoms = atoms(f)
 
         def eval_partial(g: Formula, asn: dict[Formula, bool]) -> Optional[bool]:
             if isinstance(g, BoolLit):
@@ -344,27 +316,26 @@ class BuiltinSolver(Solver):
 
         def theory_check(asn: dict[Formula, bool]) -> tuple[str, Optional[Model]]:
             base: list[tuple[dict[Var, int], int]] = []
-            diseqs: list[Cmp_pol] = []
+            splits: list[list[list[tuple[dict[Var, int], int]]]] = []
             for atom, val in asn.items():
                 if not isinstance(atom, Cmp):
                     continue
-                got = _atom_constraints(atom, val)
-                if got is None:
-                    diseqs.append((atom, val))
+                alts = _atom_constraints(atom, val)
+                if len(alts) == 1:
+                    base.extend(alts[0])
                 else:
-                    base.extend(got)
+                    splits.append(alts)
 
             def run(cons: list[tuple[dict[Var, int], int]], idx: int) -> tuple[str, Optional[dict[Var, int]]]:
-                if idx == len(diseqs):
+                if idx == len(splits):
                     lin: list[Lin] = [
                         (tuple(sorted((v, c) for v, c in coeffs.items() if c != 0)), k)
                         for coeffs, k in cons
                     ]
                     return _search_linear(lin)
-                lt, gt = _diseq_branches(*diseqs[idx])
                 any_unknown = False
-                for branch in (lt, gt):
-                    st, m = run(cons + [branch], idx + 1)
+                for branch in splits[idx]:
+                    st, m = run(cons + branch, idx + 1)
                     if st == "sat":
                         return st, m
                     if st == "unknown":
@@ -379,7 +350,7 @@ class BuiltinSolver(Solver):
                 if isinstance(atom, BoolRef):
                     model[atom.var] = val
             assert intmodel is not None
-            ints = {v for a in asn if isinstance(a, Cmp) for v in free_vars(a)}
+            ints = {v for a in asn if isinstance(a, Cmp) for v in atom_vars(a)}
             for v in sorted(ints):
                 model[v] = intmodel.get(v, 0)
             return "sat", model
@@ -390,7 +361,7 @@ class BuiltinSolver(Solver):
                 return "unsat", None
             if val is True:
                 return theory_check(asn)
-            for atom in atoms:
+            for atom in f_atoms:
                 if atom not in asn:
                     branch_unknown = False
                     for choice_ in (True, False):
@@ -407,25 +378,14 @@ class BuiltinSolver(Solver):
         status, model = dpll({})
         if status == "sat":
             assert model is not None
+            bools = {a.var for a in f_atoms if isinstance(a, BoolRef)}
             for v in sorted(free_vars(f)):
                 if v not in model:
-                    model[v] = False if _is_bool_var(f, v) else 0
+                    model[v] = False if v in bools else 0
             return SatResult("sat", model)
         if status == "unsat":
             return SatResult("unsat")
         return SatResult("unknown", diagnostic="incomplete arithmetic search")
-
-
-def _is_bool_var(f: Formula, v: Var) -> bool:
-    if isinstance(f, BoolRef):
-        return f.var == v
-    if isinstance(f, Not):
-        return _is_bool_var(f.arg, v)
-    if isinstance(f, (And, Or)):
-        return any(_is_bool_var(a, v) for a in f.args)
-    if isinstance(f, Implies):
-        return _is_bool_var(f.lhs, v) or _is_bool_var(f.rhs, v)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -470,27 +430,12 @@ def _smt_formula(f: Formula) -> str:
     return f"(=> {_smt_formula(f.lhs)} {_smt_formula(f.rhs)})"
 
 
-def _var_sorts(f: Formula, sorts: dict[Var, str]) -> None:
-    if isinstance(f, BoolRef):
-        sorts[f.var] = "Bool"
-    elif isinstance(f, Cmp):
-        for t in (f.lhs, f.rhs):
-            for v, _ in t.coeffs:
-                sorts[v] = "Int"
-    elif isinstance(f, Not):
-        _var_sorts(f.arg, sorts)
-    elif isinstance(f, (And, Or)):
-        for a in f.args:
-            _var_sorts(a, sorts)
-    elif isinstance(f, Implies):
-        _var_sorts(f.lhs, sorts)
-        _var_sorts(f.rhs, sorts)
-
-
 def to_smtlib(f: Formula) -> str:
     """Render a formula as a self-contained SMT-LIB v2 check-sat script."""
     sorts: dict[Var, str] = {}
-    _var_sorts(f, sorts)
+    for a in atoms(f):
+        for v in atom_vars(a):
+            sorts[v] = "Bool" if isinstance(a, BoolRef) else "Int"
     lines = ["(set-logic QF_LIA)"]
     for v in sorted(sorts):
         lines.append(f"(declare-const {_smt_name(v)} {sorts[v]})")

@@ -77,13 +77,6 @@ def complete(spec: TraceSpec) -> TraceSpec:
     return TraceSpec(spec.options + (TraceOption(rx.EPSILON, rest),))
 
 
-def frame_prefix(w: rx.Regex, spec: TraceSpec) -> TraceSpec:
-    """Prepend a state-independent regex to every option."""
-    return TraceSpec(
-        tuple(TraceOption(rx.concat(w, o.regex), o.guard) for o in spec.options)
-    )
-
-
 def subst_spec(spec: TraceSpec, sub: Substitution) -> TraceSpec:
     """Apply a substitution to every guard (regexes are state-independent)."""
     return TraceSpec(
@@ -96,16 +89,6 @@ def prime_spec(spec: TraceSpec) -> TraceSpec:
     return TraceSpec(
         tuple(TraceOption(o.regex, prime(o.guard)) for o in spec.options)
     )
-
-
-@dataclass(frozen=True)
-class GuardedInclusion:
-    """The obligation `context ==> (left . emitted ⊑ right)`."""
-
-    context: Formula
-    left: TraceSpec
-    emitted: rx.Regex
-    right: TraceSpec
 
 
 @dataclass(frozen=True)

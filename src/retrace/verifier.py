@@ -3,8 +3,10 @@
 Each procedure with a body is verified in isolation against its own
 contract.  Execution states carry a symbolic store, a path constraint, and
 a plain trace prefix; conditional trace specifications are split into
-plain cases eagerly, and unsatisfiable branches are pruned.  Loops are
-dispatched modularly through their invariant and trace annotations, calls
+plain cases eagerly, and unsatisfiable branches are pruned.  Loops go
+through one modular rule (havoc, preserve, exit) with two annotation
+modes: a full-history trace invariant that covers the whole prefix at the
+loop head, or a `local` language that covers a single iteration.  Calls go
 through the callee contract.
 """
 
@@ -44,11 +46,10 @@ from .lang import (
 )
 from .solver import BuiltinSolver, Solver
 from .tracespec import (
-    InclusionCase,
-    TraceOption,
     TraceSpec,
     complete,
     inclusion_obligations,
+    plain,
     subst_spec,
 )
 
@@ -187,7 +188,7 @@ class Verifier:
         return out
 
     @staticmethod
-    def ground(f: Formula, store: Store) -> Formula:
+    def ground(f: SymValue, store: Store) -> SymValue:
         return substitute(f, {Var(name): val for name, val in store.items()})
 
     @staticmethod
@@ -236,13 +237,19 @@ class Verifier:
             )
         )
 
-    def _inclusions(
+    def _trace_inclusion(
         self,
         obs: list[Obligation],
         desc: str,
-        cases: list[InclusionCase],
+        state: SymState,
+        spec: TraceSpec,
         span: Optional[Span],
     ) -> None:
+        """Obligations for `state.path ==> state.prefix ⊑ spec`, where `spec`
+        is completed and grounded."""
+        cases = inclusion_obligations(
+            state.path, plain(state.prefix), rx.EPSILON, spec, self.solver
+        )
         for case in cases:
             obs.append(
                 Obligation(
@@ -278,12 +285,7 @@ class Verifier:
             state.prefix = rx.concat(state.prefix, rx.symbol(c.event))
             return [state]
         if isinstance(c, Assign):
-            if isinstance(c.value, Term):
-                sub = {Var(name): val for name, val in state.store.items()}
-                grounded: SymValue = _subst_into_term(c.value, sub)
-            else:
-                grounded = self.ground(c.value, state.store)
-            state.store[c.var] = grounded
+            state.store[c.var] = self.ground(c.value, state.store)
             return [state]
         if isinstance(c, Havoc):
             ty = self.p.var_type(c.var, proc) or "int"
@@ -346,38 +348,29 @@ class Verifier:
             state.path, self.ground(inv, state.store), w.span,
         )
         mods = sorted(modified_in(w.body, self.p))
-        if w.local_trace:
-            return self._while_local(w, state, proc, obs, warnings, mods)
-        return self._while_full(w, state, proc, obs, warnings, mods)
-
-    def _while_full(
-        self, w: While, state: SymState, proc: Procedure,
-        obs: list[Obligation], warnings: list[str], mods: list[str],
-    ) -> list[SymState]:
-        spec = complete(w.trace_inv)
-        # establishment: the accumulated prefix is covered by the invariant
-        # evaluated at the loop head state
-        self._inclusions(
-            obs,
-            "loop trace invariant established",
-            inclusion_obligations(
-                state.path,
-                TraceSpec((TraceOption(state.prefix, TRUE),)),
-                rx.EPSILON,
-                self.ground_spec(spec, state.store),
-                self.solver,
-            ),
-            w.span,
-        )
-        # preservation: from an arbitrary state satisfying test and invariant,
-        # with the prefix replaced by each satisfiable invariant case
         hstore = self.havoc(state.store, mods, proc)
+        if w.local_trace:
+            # a local annotation covers one iteration, so each starts from ε
+            body_lang = w.trace_inv.options[0].regex if w.trace_inv.options else rx.EPSILON
+            spec = complete(plain(body_lang))
+            starts, post_desc = plain(rx.EPSILON), "loop body trace covered"
+        else:
+            # establishment: the accumulated prefix is covered by the invariant
+            # evaluated at the loop head state
+            spec = complete(w.trace_inv)
+            self._trace_inclusion(
+                obs, "loop trace invariant established",
+                state, self.ground_spec(spec, state.store), w.span,
+            )
+            starts = self.ground_spec(spec, hstore)
+            post_desc = "loop trace invariant preserved"
+        # preservation: from an arbitrary state satisfying test and invariant,
+        # with the prefix replaced by each satisfiable start case
         path_body = conj(
-            self.ground(w.invariant, hstore), self.ground(w.test, hstore)
+            self.ground(inv, hstore), self.ground(w.test, hstore)
         )
         if self.feasible(path_body):
-            head_spec = self.ground_spec(spec, hstore)
-            for opt in head_spec.options:
+            for opt in starts.options:
                 case_path = conj(path_body, opt.guard)
                 if not self.feasible(case_path):
                     continue
@@ -385,34 +378,28 @@ class Verifier:
                 for fin in self.exec(w.body, start, proc, obs, warnings):
                     self._entailment(
                         obs, INVARIANT_PRESERVATION, "loop invariant preserved",
-                        fin.path, self.ground(w.invariant, fin.store), w.span,
+                        fin.path, self.ground(inv, fin.store), w.span,
                     )
-                    self._inclusions(
-                        obs,
-                        "loop trace invariant preserved",
-                        inclusion_obligations(
-                            fin.path,
-                            TraceSpec((TraceOption(fin.prefix, TRUE),)),
-                            rx.EPSILON,
-                            self.ground_spec(spec, fin.store),
-                            self.solver,
-                        ),
-                        w.span,
+                    self._trace_inclusion(
+                        obs, post_desc, fin, self.ground_spec(spec, fin.store), w.span
                     )
-        # continuation: exit states assume the invariant and the negated test;
-        # the prefix becomes the invariant case that matches the exit state
+        # continuation: exit states assume the invariant and the negated test
         cstore = self.havoc(state.store, mods, proc)
         cpath = conj(
             state.path,
-            self.ground(w.invariant, cstore),
+            self.ground(inv, cstore),
             neg(self.ground(w.test, cstore)),
         )
         if not self.feasible(cpath):
             return []
+        if w.local_trace:
+            # the loop contributes any number of body observations, framed onto
+            # the prefix accumulated so far
+            return [SymState(dict(cstore), cpath, rx.concat(state.prefix, rx.star(body_lang)))]
+        # the prefix becomes the invariant case that matches the exit state
         out: list[SymState] = []
-        exit_spec = self.ground_spec(spec, cstore)
         user_cases = 0
-        for i, opt in enumerate(exit_spec.options):
+        for i, opt in enumerate(self.ground_spec(spec, cstore).options):
             path_exit = conj(cpath, opt.guard)
             if not self.feasible(path_exit):
                 continue
@@ -426,46 +413,6 @@ class Verifier:
             )
         return out
 
-    def _while_local(
-        self, w: While, state: SymState, proc: Procedure,
-        obs: list[Obligation], warnings: list[str], mods: list[str],
-    ) -> list[SymState]:
-        body_lang = w.trace_inv.options[0].regex if w.trace_inv.options else rx.EPSILON
-        hstore = self.havoc(state.store, mods, proc)
-        path_body = conj(
-            self.ground(w.invariant, hstore), self.ground(w.test, hstore)
-        )
-        if self.feasible(path_body):
-            start = SymState(dict(hstore), path_body, rx.EPSILON)
-            for fin in self.exec(w.body, start, proc, obs, warnings):
-                self._entailment(
-                    obs, INVARIANT_PRESERVATION, "loop invariant preserved",
-                    fin.path, self.ground(w.invariant, fin.store), w.span,
-                )
-                self._inclusions(
-                    obs,
-                    "loop body trace covered",
-                    inclusion_obligations(
-                        fin.path,
-                        TraceSpec((TraceOption(fin.prefix, TRUE),)),
-                        rx.EPSILON,
-                        complete(TraceSpec((TraceOption(body_lang, TRUE),))),
-                        self.solver,
-                    ),
-                    w.span,
-                )
-        cstore = self.havoc(state.store, mods, proc)
-        cpath = conj(
-            state.path,
-            self.ground(w.invariant, cstore),
-            neg(self.ground(w.test, cstore)),
-        )
-        if not self.feasible(cpath):
-            return []
-        # the loop contributes any number of body observations, framed onto
-        # the prefix accumulated so far
-        return [SymState(dict(cstore), cpath, rx.concat(state.prefix, rx.star(body_lang)))]
-
     # -- procedure and program level ----------------------------------------
 
     def finalize_path(
@@ -475,18 +422,7 @@ class Verifier:
         post = self.ground2(proc.ensures, entry, state.store)
         self._entailment(obs, ENTAILMENT, "postcondition", state.path, post, proc.span)
         contract = self.ground_spec(complete(proc.trace), state.store)
-        self._inclusions(
-            obs,
-            "contract trace",
-            inclusion_obligations(
-                state.path,
-                TraceSpec((TraceOption(state.prefix, TRUE),)),
-                rx.EPSILON,
-                contract,
-                self.solver,
-            ),
-            proc.span,
-        )
+        self._trace_inclusion(obs, "contract trace", state, contract, proc.span)
 
     def verify_procedure(self, name: str) -> ProcedureReport:
         proc = self.p.procedures[name]
@@ -510,19 +446,6 @@ class Verifier:
             if proc.body is not None:
                 report.procedures.append(self.verify_procedure(name))
         return report
-
-
-def _subst_into_term(t: Term, sub: dict[Var, SymValue]) -> Term:
-    acc = Term((), t.const)
-    for v, c in t.coeffs:
-        val = sub.get(v)
-        if val is None:
-            acc = acc + Term(((v, c),))
-        elif isinstance(val, Term):
-            acc = acc + val.scaled(c)
-        else:
-            raise ValueError(f"integer variable {v} bound to a formula")
-    return acc
 
 
 def verify_program(p: Program, solver: Optional[Solver] = None) -> VerdictReport:

@@ -7,6 +7,8 @@ from retrace.formula import (
     BoolRef,
     UnboundVariable,
     Var,
+    atom_vars,
+    atoms,
     cmp,
     conj,
     disj,
@@ -51,6 +53,13 @@ def test_substitute_constant_folds():
     f = cmp("<=", tvar("x"), tconst(3))
     assert substitute(f, {Var("x"): 2}) == TRUE
     assert substitute(f, {Var("x"): 4}) == FALSE
+    t = tvar("x").scaled(2) + tvar("y") + tconst(1)
+    assert substitute(t, {Var("x"): tvar("z") + tconst(1)}) == (
+        tvar("z").scaled(2) + tvar("y") + tconst(3)
+    )
+    assert substitute(t, {Var("x"): 2, Var("y"): 3}) == tconst(8)
+    with pytest.raises(UnboundVariable):
+        substitute(t, {Var("x"): b})
 
 
 def test_substitute_formula_for_bool():
@@ -88,6 +97,15 @@ def test_evaluate_primed_matches_unprimed_shifted():
 def test_free_vars():
     f = implies(b, cmp("==", tvar("x", True), tvar("y")))
     assert free_vars(f) == {Var("b"), Var("x", True), Var("y")}
+
+
+def test_atoms_dedup_in_first_occurrence_order():
+    x_lt = cmp("<", tvar("x"), tconst(3))
+    y_eq = cmp("==", tvar("y"), tvar("x"))
+    c = BoolRef(Var("c"))
+    f = disj(neg(conj(x_lt, b)), implies(conj(c, neg(x_lt)), disj(y_eq, b)))
+    assert atoms(f) == (x_lt, b, c, y_eq)
+    assert atom_vars(y_eq) == (Var("y"), Var("x"))
 
 
 def test_smart_constructors_fold():

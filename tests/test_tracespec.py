@@ -19,12 +19,10 @@ from retrace.formula import (
 )
 from retrace.solver import BuiltinSolver
 from retrace.tracespec import (
-    GuardedInclusion,
     TraceOption,
     TraceSpec,
     complete,
     eval_at,
-    frame_prefix,
     inclusion_obligations,
     plain,
     prime_spec,
@@ -93,28 +91,6 @@ def test_complete_fills_gap_with_epsilon():
     got = complete(spec)
     assert eval_at(got, {"b": False}) is rx.EPSILON
     assert eval_at(got, {"b": True}) is even
-
-
-# -- framing ------------------------------------------------------------------
-
-
-def test_frame_prefix_epsilon_is_identity():
-    assert frame_prefix(rx.EPSILON, invariant) == invariant
-
-
-def test_frame_prefix_star_absorbs_iteration():
-    v = odd
-    framed = frame_prefix(rx.star(v), plain(v))
-    assert framed.options[0].regex is rx.concat(rx.star(v), v)
-
-
-def test_frame_prefix_commutes_with_eval():
-    spec = spec_of((even, b), (odd, neg(b)))
-    framed = frame_prefix(rx.symbol("even"), spec)
-    for val in (True, False):
-        got = eval_at(framed, {"b": val})
-        want = rx.concat(even, eval_at(spec, {"b": val}))
-        assert got is want
 
 
 # -- guarded inclusion obligations ---------------------------------------------
@@ -189,11 +165,6 @@ def test_unknown_guard_reported_failed(solver):
     )
     assert cases and not any(c.holds for c in cases)
     assert all("cannot decide guard" in (c.note or "") for c in cases)
-
-
-def test_guarded_inclusion_record():
-    gi = GuardedInclusion(TRUE, plain(even), rx.EPSILON, complete(plain(even)))
-    assert gi.left.options[0].regex is even
 
 
 # -- soundness of the case split ------------------------------------------------
