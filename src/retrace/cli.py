@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from .interp import NoSatisfyingState, check_triple_random
@@ -53,11 +54,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run the command line; exit 1 means only that an obligation failed or
+    the oracle found a violation, and any other failure exits 2."""
     ap = build_arg_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
+    try:
+        return _run(args)
+    except Exception as exc:  # a crash must not read as a failed obligation
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.oracle_runs is not None and args.oracle_runs < 1:
         print("error: --oracle requires at least one run", file=sys.stderr)
         return EXIT_ERROR

@@ -1,17 +1,25 @@
 """Regular expressions over a finite event alphabet.
 
-Terms are kept in a canonical form (flattened concatenation, choice as a
-sorted duplicate-free set, collapsed stars) and interned, so structurally
-equal expressions are the same object.  This makes the memoization keys of
-the inclusion check stable under reordering and duplication of choices,
-which is what guarantees its termination.
+Terms are kept in a canonical form and interned, so structurally equal
+expressions are the same object:
+
+- concatenation is right-nested, `Concat(head, tail)` with a head that is
+  never itself a concatenation, so putting one factor in front of a long
+  tail, and taking the derivative of a long concatenation, costs O(1);
+- choice is a sorted duplicate-free set of options;
+- stars are collapsed.
+
+This makes the memoization keys of the inclusion check stable under
+reordering and duplication of choices, which is what guarantees its
+termination.  Every walk along a concatenation is a loop, and the inclusion
+check is an explicit depth-first worklist, so neither depends on the
+interpreter's recursion limit however long the expressions get.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 Word = tuple[str, ...]
 
@@ -26,9 +34,9 @@ class Regex:
 
     __slots__ = ("_str", "_nullable", "_first")
 
-    def __init__(self) -> None:
+    def __init__(self, nullable: bool) -> None:
         self._str: Optional[str] = None
-        self._nullable: Optional[bool] = None
+        self._nullable = nullable
         self._first: Optional[frozenset[str]] = None
 
     def __repr__(self) -> str:
@@ -47,17 +55,18 @@ class Symbol(Regex):
     __slots__ = ("event",)
 
     def __init__(self, event: str) -> None:
-        super().__init__()
+        super().__init__(False)
         self.event = event
 
 
 class Concat(Regex):
-    # factors: len >= 2, no Empty/Epsilon/Concat children
-    __slots__ = ("factors",)
+    # head is not Empty/Epsilon/Concat; tail is not Empty/Epsilon
+    __slots__ = ("head", "tail")
 
-    def __init__(self, factors: tuple[Regex, ...]) -> None:
-        super().__init__()
-        self.factors = factors
+    def __init__(self, head: Regex, tail: Regex) -> None:
+        super().__init__(head._nullable and tail._nullable)
+        self.head = head
+        self.tail = tail
 
 
 class Choice(Regex):
@@ -65,7 +74,7 @@ class Choice(Regex):
     __slots__ = ("options",)
 
     def __init__(self, options: tuple[Regex, ...]) -> None:
-        super().__init__()
+        super().__init__(any(o._nullable for o in options))
         self.options = options
 
 
@@ -74,13 +83,14 @@ class Star(Regex):
     __slots__ = ("inner",)
 
     def __init__(self, inner: Regex) -> None:
-        super().__init__()
+        super().__init__(True)
         self.inner = inner
 
 
-EMPTY: Regex = Empty()
-EPSILON: Regex = Epsilon()
+EMPTY: Regex = Empty(False)
+EPSILON: Regex = Epsilon(True)
 
+# keys: (id(head), id(tail)) for concatenations, tagged tuples otherwise
 _interned: dict[object, Regex] = {}
 
 
@@ -96,29 +106,44 @@ def symbol(event: str) -> Regex:
     return r
 
 
-def concat(*parts: Regex) -> Regex:
-    """Sequential composition; drops neutral factors, annihilates on the
-    empty language."""
-    flat: list[Regex] = []
-    for p in parts:
-        if p is EMPTY:
-            return EMPTY
-        if p is EPSILON:
-            continue
-        if isinstance(p, Concat):
-            flat.extend(p.factors)
-        else:
-            flat.append(p)
-    if not flat:
-        return EPSILON
-    if len(flat) == 1:
-        return flat[0]
-    key = ("cat", tuple(id(f) for f in flat))
+def _cons(head: Regex, tail: Regex) -> Regex:
+    key = (id(head), id(tail))
     r = _interned.get(key)
     if r is None:
-        r = Concat(tuple(flat))
+        r = Concat(head, tail)
         _interned[key] = r
     return r
+
+
+def _spine(r: Regex) -> Iterator[Regex]:
+    """The factors of a concatenation in order; any other regex is its own
+    single factor."""
+    while isinstance(r, Concat):
+        yield r.head
+        r = r.tail
+    yield r
+
+
+def concat(*parts: Regex) -> Regex:
+    """Sequential composition; drops neutral factors, annihilates on the
+    empty language.
+
+    Folds right over the parts and splices every part but the last, so
+    prepending a short part to a long concatenation costs O(1) in the
+    length of the latter.
+    """
+    if EMPTY in parts:
+        return EMPTY
+    out = EPSILON
+    for p in reversed(parts):
+        if p is EPSILON:
+            continue
+        if out is EPSILON:
+            out = p
+            continue
+        for f in reversed(list(_spine(p))):
+            out = _cons(f, out)
+    return out
 
 
 def choice(*parts: Regex) -> Regex:
@@ -172,7 +197,11 @@ def plus(r: Regex) -> Regex:
 
 def render(r: Regex) -> str:
     """Deterministic concrete syntax; used for display and for the stable
-    ordering of choice options."""
+    ordering of choice options.
+
+    The string is cached on `r` alone: caching it on every suffix of a long
+    concatenation would take memory quadratic in its length.
+    """
     if r._str is None:
         r._str = _render(r, 0)
     return r._str
@@ -190,7 +219,7 @@ def _render(r: Regex, prec: int) -> str:
         s = " | ".join(_render(o, 1) for o in r.options)
         return f"({s})" if prec > 0 else s
     if isinstance(r, Concat):
-        s = " ".join(_render(f, 2) for f in r.factors)
+        s = " ".join(_render(f, 2) for f in _spine(r))
         return f"({s})" if prec > 1 else s
     assert isinstance(r, Star)
     inner = _render(r.inner, 3)
@@ -198,20 +227,7 @@ def _render(r: Regex, prec: int) -> str:
 
 
 def nullable(r: Regex) -> bool:
-    """Whether the language contains the empty word."""
-    if r._nullable is None:
-        if r is EMPTY:
-            r._nullable = False
-        elif r is EPSILON:
-            r._nullable = True
-        elif isinstance(r, Symbol):
-            r._nullable = False
-        elif isinstance(r, Concat):
-            r._nullable = all(nullable(f) for f in r.factors)
-        elif isinstance(r, Choice):
-            r._nullable = any(nullable(o) for o in r.options)
-        else:
-            r._nullable = True  # Star
+    """Whether the language contains the empty word (fixed at construction)."""
     return r._nullable
 
 
@@ -233,12 +249,10 @@ def first(r: Regex) -> frozenset[str]:
         elif isinstance(r, Star):
             r._first = first(r.inner)
         else:
-            assert isinstance(r, Concat)
-            out = set(first(r.factors[0]))
-            for i, f in enumerate(r.factors):
-                if i > 0:
-                    out |= first(f)
-                if not nullable(f):
+            out: set[str] = set()
+            for f in _spine(r):
+                out |= first(f)
+                if not f._nullable:
                     break
             r._first = frozenset(out)
     return r._first
@@ -256,12 +270,16 @@ def derive(event: str, r: Regex) -> Regex:
     if isinstance(r, Star):
         return concat(derive(event, r.inner), r)
     assert isinstance(r, Concat)
-    head = r.factors[0]
-    tail = concat(*r.factors[1:])
-    d = concat(derive(event, head), tail)
-    if nullable(head):
-        d = choice(d, derive(event, tail))
-    return d
+    options = [concat(derive(event, r.head), r.tail)]
+    # every head up to the first one that is not nullable may consume
+    # `event`; a loop rather than recursion on the tail keeps the depth constant
+    while r.head._nullable:
+        r = r.tail
+        if not isinstance(r, Concat):
+            options.append(derive(event, r))
+            break
+        options.append(concat(derive(event, r.head), r.tail))
+    return options[0] if len(options) == 1 else choice(*options)
 
 
 def member(word: Word, r: Regex) -> bool:
@@ -270,7 +288,7 @@ def member(word: Word, r: Regex) -> bool:
         r = derive(a, r)
         if r is EMPTY:
             return False
-    return nullable(r)
+    return r._nullable
 
 
 def alphabet(r: Regex) -> frozenset[str]:
@@ -278,7 +296,7 @@ def alphabet(r: Regex) -> frozenset[str]:
     if isinstance(r, Symbol):
         return frozenset((r.event,))
     if isinstance(r, Concat):
-        return frozenset().union(*(alphabet(f) for f in r.factors))
+        return frozenset().union(*(alphabet(f) for f in _spine(r)))
     if isinstance(r, Choice):
         return frozenset().union(*(alphabet(o) for o in r.options))
     if isinstance(r, Star):
@@ -295,12 +313,12 @@ def shortest_word(r: Regex) -> Optional[Word]:
     if isinstance(r, Symbol):
         return (r.event,)
     if isinstance(r, Concat):
-        out: Word = ()
-        for f in r.factors:
+        out: list[str] = []
+        for f in _spine(r):
             w = shortest_word(f)
             assert w is not None  # canonical concat has no empty factor
-            out += w
-        return out
+            out.extend(w)
+        return tuple(out)
     assert isinstance(r, Choice)
     best: Optional[Word] = None
     for o in r.options:
@@ -325,36 +343,42 @@ class InclusionResult:
 def included(u: Regex, v: Regex) -> InclusionResult:
     """Decide L(u) ⊆ L(v) by simultaneous derivatives.
 
-    The memo set of visited pairs acts as a simulation relation between the
-    two expressions; canonical interning makes its keys stable, which
-    bounds the recursion.  On failure the derivative path is unwound into a
-    shortest-found counterexample word.
+    A depth-first search over pairs of derivatives, taking the events of
+    `first(u)` in sorted order.  The set of visited pairs acts as a
+    simulation relation between the two expressions; canonical interning
+    makes its keys stable, which bounds the search.  The search keeps its
+    own stack, one frame per pair being expanded, so its depth is not tied
+    to the recursion limit.  On failure the witness is the word that leads
+    to the failing pair, followed by a shortest word left over there.
     """
-    limit = sys.getrecursionlimit()
-    if limit < 10000:
-        sys.setrecursionlimit(10000)
-    gamma: set[tuple[Regex, Regex]] = set()
-
-    def go(u: Regex, v: Regex) -> Optional[Word]:
-        if (u, v) in gamma:
-            return None
-        if v is EMPTY:
-            return None if u is EMPTY else shortest_word(u)
-        if nullable(u) and not nullable(v):
-            return ()
-        gamma.add((u, v))
-        for a in sorted(first(u)):
-            w = go(derive(a, u), derive(a, v))
-            if w is not None:
-                return (a,) + w
-        return None
-
-    try:
-        w = go(u, v)
-    finally:
-        if sys.getrecursionlimit() != limit:
-            sys.setrecursionlimit(limit)
-    return InclusionResult(w is None, w)
+    visited: set[tuple[Regex, Regex]] = set()
+    # frames[i] expands a pair at depth i; path[i] is the event it took
+    frames: list[tuple[Regex, Regex, Iterator[str]]] = []
+    path: list[str] = []
+    while True:
+        if (u, v) not in visited:
+            rest: Optional[Word] = None
+            if v is EMPTY:
+                if u is not EMPTY:
+                    rest = shortest_word(u)
+            elif u._nullable and not v._nullable:
+                rest = ()
+            else:
+                visited.add((u, v))
+                frames.append((u, v, iter(sorted(first(u)))))
+            if rest is not None:
+                return InclusionResult(False, tuple(path) + rest)
+        while frames:
+            fu, fv, events = frames[-1]
+            a = next(events, None)
+            if a is not None:
+                break
+            frames.pop()
+        else:
+            return InclusionResult(True)
+        del path[len(frames) - 1:]
+        path.append(a)
+        u, v = derive(a, fu), derive(a, fv)
 
 
 def equivalent(u: Regex, v: Regex) -> bool:

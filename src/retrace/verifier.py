@@ -2,8 +2,10 @@
 
 Each procedure with a body is verified in isolation against its own
 contract.  Execution states carry a symbolic store, a path constraint, and
-a plain trace prefix; conditional trace specifications are split into
-plain cases eagerly, and unsatisfiable branches are pruned.  Loops go
+a plain trace prefix, kept as a chain of regex pieces that forked states
+share so that emitting an event costs O(1); conditional trace
+specifications are split into plain cases eagerly, and unsatisfiable
+branches are pruned.  Loops go
 through one modular rule (havoc, preserve, exit) with two annotation
 modes: a full-history trace invariant that covers the whole prefix at the
 loop head, or a `local` language that covers a single iteration.  Calls go
@@ -148,14 +150,46 @@ class VerdictReport:
         }
 
 
-@dataclass
+# a trace prefix as a persistent snoc chain: None, or (earlier pieces, piece)
+Pieces = Optional[tuple["Pieces", rx.Regex]]
+
+
 class SymState:
-    store: Store
-    path: Formula
-    prefix: rx.Regex
+    """A symbolic execution state: store, path constraint and trace prefix.
+
+    The prefix is kept as a snoc chain of regex pieces that forks share, so
+    appending to it is O(1); `prefix` builds the regex when an obligation
+    needs it.
+    """
+
+    __slots__ = ("store", "path", "pieces")
+
+    def __init__(self, store: Store, path: Formula, prefix: rx.Regex = rx.EPSILON) -> None:
+        self.store = store
+        self.path = path
+        self.pieces: Pieces = None if prefix is rx.EPSILON else (None, prefix)
+
+    @property
+    def prefix(self) -> rx.Regex:
+        pieces: list[rx.Regex] = []
+        node = self.pieces
+        while node is not None:
+            node, piece = node
+            pieces.append(piece)
+        pieces.reverse()
+        return rx.concat(*pieces)
+
+    def append(self, piece: rx.Regex) -> None:
+        self.pieces = (self.pieces, piece)
 
     def fork(self) -> "SymState":
-        return SymState(dict(self.store), self.path, self.prefix)
+        return self.then(dict(self.store), self.path, rx.EPSILON)
+
+    def then(self, store: Store, path: Formula, piece: rx.Regex) -> "SymState":
+        """A successor state whose prefix is this one's followed by `piece`."""
+        st = SymState(store, path)
+        st.pieces = self.pieces if piece is rx.EPSILON else (self.pieces, piece)
+        return st
 
 
 class Verifier:
@@ -282,7 +316,7 @@ class Verifier:
                 states = nxt
             return states
         if isinstance(c, Emit):
-            state.prefix = rx.concat(state.prefix, rx.symbol(c.event))
+            state.append(rx.symbol(c.event))
             return [state]
         if isinstance(c, Assign):
             state.store[c.var] = self.ground(c.value, state.store)
@@ -333,9 +367,7 @@ class Verifier:
             path3 = conj(path2, phi)
             if not self.feasible(path3):
                 continue
-            out.append(
-                SymState(dict(post_store), path3, rx.concat(state.prefix, opt.regex))
-            )
+            out.append(state.then(dict(post_store), path3, opt.regex))
         return out
 
     def exec_while(
@@ -395,7 +427,7 @@ class Verifier:
         if w.local_trace:
             # the loop contributes any number of body observations, framed onto
             # the prefix accumulated so far
-            return [SymState(dict(cstore), cpath, rx.concat(state.prefix, rx.star(body_lang)))]
+            return [state.then(dict(cstore), cpath, rx.star(body_lang))]
         # the prefix becomes the invariant case that matches the exit state
         out: list[SymState] = []
         user_cases = 0

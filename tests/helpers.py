@@ -72,9 +72,7 @@ def lang_buckets(r: rx.Regex, max_len: int) -> Buckets:
         for o in r.options:
             out = _union(out, lang_buckets(o, max_len))
     elif isinstance(r, rx.Concat):
-        out = (frozenset([()]),) + empty[1:]
-        for f in r.factors:
-            out = _combine(out, lang_buckets(f, max_len), max_len)
+        out = _combine(lang_buckets(r.head, max_len), lang_buckets(r.tail, max_len), max_len)
     else:
         assert isinstance(r, rx.Star)
         inner = lang_buckets(r.inner, max_len)
@@ -106,6 +104,30 @@ def enum_subset(u: rx.Regex, v: rx.Regex, max_len: int) -> Optional[Word]:
         if diff:
             return min(diff)
     return None
+
+
+def reference_included(u: rx.Regex, v: rx.Regex) -> rx.InclusionResult:
+    """The derivative-pair search of `rx.included` written as a recursion,
+    the reference for its verdicts and witnesses.  It recurses once per
+    event, so it only suits small expressions."""
+    gamma: set[tuple[rx.Regex, rx.Regex]] = set()
+
+    def go(u: rx.Regex, v: rx.Regex) -> Optional[Word]:
+        if (u, v) in gamma:
+            return None
+        if v is rx.EMPTY:
+            return None if u is rx.EMPTY else rx.shortest_word(u)
+        if rx.nullable(u) and not rx.nullable(v):
+            return ()
+        gamma.add((u, v))
+        for a in sorted(rx.first(u)):
+            w = go(rx.derive(a, u), rx.derive(a, v))
+            if w is not None:
+                return (a,) + w
+        return None
+
+    w = go(u, v)
+    return rx.InclusionResult(w is None, w)
 
 
 def random_regex(rng: random.Random, size: int, alphabet: tuple[str, ...]) -> rx.Regex:

@@ -4,6 +4,7 @@ import sys
 
 from retrace.cli import main
 from retrace.corpus import path
+from retrace.verifier import Verifier
 
 
 def run_cli(capsys, *args):
@@ -44,6 +45,17 @@ def test_resolve_error_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, str(bad))
     assert code == 2
     assert "q" in err
+
+
+def test_internal_error_exits_two(monkeypatch, capsys):
+    def crash(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Verifier, "verify_program", crash)
+    code, out, err = run_cli(capsys, str(path("even_odd")))
+    assert code == 2
+    assert "internal error: RuntimeError: boom" in err
+    assert out == ""
 
 
 def test_usage_error_exits_two(capsys):

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retrace import regex as rx
-from helpers import enum_member, enum_subset, enum_words, random_regex, random_word
+from helpers import (
+    enum_member,
+    enum_subset,
+    enum_words,
+    random_regex,
+    random_word,
+    reference_included,
+)
 
 a, b, c = rx.symbol("a"), rx.symbol("b"), rx.symbol("c")
 even, odd = rx.symbol("even"), rx.symbol("odd")
@@ -37,6 +44,13 @@ def test_star_collapses():
     assert rx.star(rx.star(a)) is rx.star(a)
     assert rx.star(rx.EPSILON) is rx.EPSILON
     assert rx.star(rx.EMPTY) is rx.EPSILON
+
+
+def test_concat_is_associative_and_right_nested():
+    left = rx.concat(rx.concat(a, b), c)
+    assert left is rx.concat(a, rx.concat(b, c))
+    assert left.head is a and left.tail is rx.concat(b, c)
+    assert rx.render(left) == "a b c"
 
 
 def test_plus_desugars():
@@ -77,6 +91,14 @@ def test_derive_even_odd_star():
         words = [w + (x,) for w in words for x in alphabet] + words
     for w in set(words):
         assert enum_member(w, got) == enum_member(("even",) + w, even_odd_star)
+
+
+def test_derive_through_long_run_of_nullable_factors():
+    # 5000 nullable heads before the one that can consume `a`: the derivative
+    # walks them without recursing once per factor
+    r = rx.concat(*[rx.star(b)] * 5000, a)
+    assert rx.derive("a", r) is rx.EPSILON
+    assert rx.first(r) == {"a", "b"}
 
 
 def test_first():
@@ -192,6 +214,14 @@ def test_inclusion_agrees_with_enumeration(u, v):
         assert not rx.member(res.witness, v)
 
 
+@given(_regex_st, _regex_st)
+@settings(max_examples=300, deadline=None)
+def test_inclusion_matches_recursive_reference(u, v):
+    # the worklist search visits pairs in the order of the recursive one, so
+    # verdicts and witnesses agree exactly, not just up to language
+    assert rx.included(u, v) == reference_included(u, v)
+
+
 @given(_regex_st)
 @settings(max_examples=200)
 def test_nullable_iff_member_of_empty_word(u):
@@ -217,7 +247,7 @@ def _rebuild(r: rx.Regex) -> rx.Regex:
     if isinstance(r, rx.Symbol):
         return rx.symbol(r.event)
     if isinstance(r, rx.Concat):
-        return rx.concat(*(_rebuild(f) for f in r.factors))
+        return rx.concat(_rebuild(r.head), _rebuild(r.tail))
     if isinstance(r, rx.Choice):
         return rx.choice(*(_rebuild(o) for o in r.options))
     if isinstance(r, rx.Star):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from retrace import regex as rx
@@ -358,3 +360,28 @@ def test_nested_loop_wrong_inner_invariant_fails():
         "}\n"
     )
     assert not verify_program(load(src)).verified
+
+
+# -- scale ---------------------------------------------------------------------
+
+
+def _straight_line(word):
+    body = "\n".join(f"  _(emit {e})" for e in word)
+    return f"events a, b, c;\nproc p()\n  _(trace (a b c)*)\n{{\n{body}\n}}\n"
+
+
+def test_long_straight_line_verifies_without_recursion():
+    # the prefix, its derivatives and the inclusion search are linear in the
+    # number of events, and none of them recurses once per event
+    word = ("a", "b", "c") * 6667
+    limit = sys.getrecursionlimit()
+    assert verify_program(load(_straight_line(word))).verified
+    mutant = word + ("a",)
+    rep = verify_program(load(_straight_line(mutant)))
+    assert sys.getrecursionlimit() == limit
+    (failed,) = [ob for ob in rep.procedures[0].obligations if not ob.holds]
+    assert failed.kind == TRACE_INCLUSION
+    assert failed.witness == mutant
+    res = rx.included(failed.lhs_regex, failed.rhs_regex)
+    assert sys.getrecursionlimit() == limit
+    assert res.witness == mutant
