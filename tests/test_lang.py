@@ -11,6 +11,7 @@ from retrace.lang import (
     If,
     ParseError,
     Seq,
+    SourceError,
     TypeMismatch,
     UnboundName,
     UndeclaredEvent,
@@ -201,6 +202,102 @@ def test_mixed_local_and_full_history_rejected():
         )
 
 
+# Every raise site of the lexer and the parser, with the exception class and
+# `str(exc)` ("line:col: msg") that the parser gave when this table was made.
+# Regenerate after a deliberate change with `PYTHONPATH=src python tests/test_lang.py`,
+# which prints the table for the current source.
+PARSE_ERRORS = [
+    ('events a, b;\nproc q() { @ }', ParseError, "2:12: unexpected character '@'"),
+    ('events a; #', ParseError, "1:11: unexpected character '#'"),
+    ('events a, b;\nint x;\nproc q() { x = 1 . 2; }', ParseError, "3:18: unexpected character '.'"),
+    ('foo', ParseError, "1:1: expected a declaration, found 'foo'"),
+    ("proc'", ParseError, "1:1: expected a declaration, found 'proc'"),
+    ('events a, b;\nfoo', ParseError, "2:1: expected a declaration, found 'foo'"),
+    ('events a, b;\nint x;\n\tproc q() { }\n 7', ParseError, "4:2: expected a declaration, found '7'"),
+    ('events a;\nproc p( { }\n', ParseError, "2:9: expected ')', found '{'"),
+    ('events 1;', ParseError, "1:8: expected event name, found '1'"),
+    ('events if;', ParseError, "1:8: expected event name, found 'if'"),
+    ('events a // no semicolon', ParseError, "1:10: expected ';', found ''"),
+    ('events a;\nproc q() _(trace a) // no body', ParseError, "2:21: expected '{', found ''"),
+    ('events a;\nproc q() { }\nproc', ParseError, "3:5: expected procedure name, found ''"),
+    ('events a, a;', DuplicateName, "1:11: name 'a' already declared"),
+    ('events a, b;\nint a;', DuplicateName, "2:5: name 'a' already declared"),
+    ('events a, b;\nproc q() { }\nproc q() { }', DuplicateName, "3:6: name 'q' already declared"),
+    ('const K = x;', ParseError, '1:11: constant initializer must be an integer literal'),
+    ('const K = -;', ParseError, '1:12: constant initializer must be an integer literal'),
+    ('bool b = 1;', TypeMismatch, "1:6: initializer for bool variable 'b' has type int"),
+    ('int x;\nint y = x;', ParseError, '2:5: global initializer must be constant'),
+    ('bool b;\nbool c = !b;', ParseError, '2:6: global initializer must be constant'),
+    ('int x = 3 + ;', ParseError, "1:13: expected an expression, found ';'"),
+    ('events a, b;\nproc q() _(trace local a) ;', ParseError, "2:18: 'local' trace annotations belong on loops"),
+    ('events a, b;\nproc q() _(trace zz) ;', UndeclaredEvent, "2:18: event 'zz' not declared"),
+    ('events a, b;\nproc q() _(trace |) ;', ParseError, "2:18: expected a regular expression, found '|'"),
+    ('events a, b;\nproc q() _(trace a if 3) ;', TypeMismatch, '2:23: expected a boolean expression'),
+    ('events a, b;\nproc q() _(trace a b* if) ;', ParseError, "2:25: expected an expression, found ')'"),
+    ('events a, b;\nint x;\nproc q() _(requires x) ;', TypeMismatch, '3:21: expected a boolean expression'),
+    ("events a, b;\nint x;\nproc q() _(requires x' == 0) ;", ParseError, '3:21: primed variables are only allowed in ensures clauses'),
+    ('events a, b;\nint x;\nproc q() _(modifies 1) ;', ParseError, "3:21: expected variable name, found '1'"),
+    ("events a, b;\nint x;\nproc q() _(ensures x' == x) _(trace (a | b) (a) ;", ParseError, "3:49: expected ')', found ';'"),
+    ('events a, b;\nproc q() _(invariant true) ;', ParseError, "2:10: expected '{', found '_('"),
+    ('events a, b;\nproc q() { ', ParseError, '2:12: unterminated block'),
+    ('events a, b;\nproc q() { _(emit zz) }', UndeclaredEvent, "2:19: event 'zz' not declared"),
+    ('events a, b;\nproc q() { _(trace a) }', ParseError, "2:14: unexpected annotation 'trace' in statement position"),
+    ('events a, b;\nproc q() { 1; }', ParseError, "2:12: expected a statement, found '1'"),
+    ('events a, b;\nproc q() { if; }', ParseError, "2:14: expected '(', found ';'"),
+    ('events a, b;\nproc q() { int x; bool x; }', DuplicateName, "2:24: variable 'x' already declared"),
+    ('events a, b;\nint x;\nproc q() { int x; }', DuplicateName, "3:16: variable 'x' already declared"),
+    ('events a, b;\nproc q() { int a; }', DuplicateName, "2:16: name 'a' already declared"),
+    ('events a, b;\nproc q() { x = 1; }', UndeclaredVariable, "2:12: variable 'x' not declared"),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = f; }', TypeMismatch, "4:12: cannot assign bool expression to int variable 'x'"),
+    ('events a, b;\nint x;\nproc q() { x = nondet(1); }', ParseError, "3:23: expected ')', found '1'"),
+    ('events a, b;\nproc q() { r(; }', ParseError, "2:14: expected ')', found ';'"),
+    ('events a, b;\nproc q() { while (true) _(trace local a if true) { } }', ParseError, "2:44: 'local' trace annotations take no guard"),
+    ('events a, b;\nproc q() { while (true) _(trace local a) _(trace a* if true) { } }', ParseError, '2:60: cannot mix local and full-history trace annotations'),
+    ('events a, b;\nproc q() { while (true) _(trace a) _(trace local a) { } }', ParseError, '2:51: cannot mix local and full-history trace annotations'),
+    ('events a, b;\nproc q() { while (true) _(trace local a) _(trace local b) { } }', ParseError, "2:57: at most one 'local' trace annotation per loop"),
+    ('events a, b;\nproc q() { while (true) _(invariant 1) { } }', TypeMismatch, '2:37: expected a boolean expression'),
+    ('events a, b;\nproc q() { while (true) _(trace a zz) { } }', UndeclaredEvent, "2:35: event 'zz' not declared"),
+    ('events a, b;\nint x;\nproc q() { if (0 < x < 5) { } }', ParseError, '3:22: comparisons cannot be chained'),
+    ('events a, b;\nint x;\nproc q() { if (x == 1 != 2) { } }', ParseError, '3:23: comparisons cannot be chained'),
+    ('events a, b;\nint x;\nint y;\nproc q() { if (x * y == 0) { } }', ParseError, '4:18: only linear terms are supported'),
+    ('events a, b;\nint x;\nproc q() { if (nondet()) { } }', ParseError, '3:16: nondet() is only allowed as the right-hand side of an assignment'),
+    ('events a, b;\nproc q() { if (emit) { } }', ParseError, "2:16: unexpected keyword 'emit'"),
+    ('events a, b;\nproc q() { if (y == 0) { } }', UndeclaredVariable, "2:16: variable 'y' not declared"),
+    ('events a, b;\nproc q() { if () { } }', ParseError, "2:16: expected an expression, found ')'"),
+    ('events a, b;\nint x;\nproc q() { if (x && true) { } }', TypeMismatch, '3:18: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true && x) { } }', TypeMismatch, '3:25: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true && true && x) { } }', TypeMismatch, '3:33: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (x || true) { } }', TypeMismatch, '3:18: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true || x) { } }', TypeMismatch, '3:25: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true || true && x) { } }', TypeMismatch, '3:33: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (x ==> true) { } }', TypeMismatch, '3:18: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true ==> x) { } }', TypeMismatch, '3:21: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (!x) { } }', TypeMismatch, '3:16: expected a boolean operand'),
+    ('events a, b;\nbool f;\nproc q() { if (f < 3) { } }', TypeMismatch, '3:18: expected an integer operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = f + 1; }', TypeMismatch, '4:18: expected an integer operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = 1 - f; }', TypeMismatch, '4:18: expected an integer operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = -f; }', TypeMismatch, '4:16: expected an integer operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = f * 2; }', TypeMismatch, '4:18: expected an integer operand'),
+    ('events a, b;\nint x;\nproc q() { if ((x == 1) { } }', ParseError, "3:25: expected ')', found '{'"),
+    ('events a;\r\nfoo', ParseError, "2:1: expected a declaration, found 'foo'"),
+    ('events a;\n\t\tint x = 1 // one\n;\n@', ParseError, "4:1: unexpected character '@'"),
+    ('events a;\nproc q() { a_(emit a) }', ParseError, "2:15: expected ')', found 'emit'"),
+    ('events a;\nproc q() { __(emit a) }', ParseError, "2:15: expected ')', found 'emit'"),
+    ('events a;\nproc q() { _ (emit a) }', ParseError, "2:15: expected ')', found 'emit'"),
+    ('events é;\nproc q() { _(emit e) }', UndeclaredEvent, "2:19: event 'e' not declared"),
+    ('events a, b;\nint x;\nproc q() { while (true) _(trace a if x) { } }', TypeMismatch, '3:38: expected a boolean expression'),
+    ("events a, b;\nint x;\nproc q() { while (true) _(trace a) _(invariant x' == 0) { } }", ParseError, '3:48: primed variables are only allowed in ensures clauses'),
+    ('events a, b;\nproc q() { while (true) _(trace a if true) _(trace local a) { } }', ParseError, '2:59: cannot mix local and full-history trace annotations'),
+]
+
+
+@pytest.mark.parametrize("src,cls,msg", PARSE_ERRORS)
+def test_parse_error_golden(src, cls, msg):
+    with pytest.raises(SourceError) as exc:
+        parse(src)
+    assert (type(exc.value), str(exc.value)) == (cls, msg)
+
+
 # -- resolve ------------------------------------------------------------------
 
 
@@ -268,3 +365,14 @@ def test_pretty_is_stable():
     p1 = parse(src)
     once = pretty(p1)
     assert pretty(parse(once)) == once
+
+
+if __name__ == "__main__":
+    print("PARSE_ERRORS = [")
+    for src, _, _ in PARSE_ERRORS:
+        try:
+            parse(src)
+            print(f"    # no error: {src!r}")
+        except SourceError as e:
+            print(f"    ({src!r}, {type(e).__name__}, {str(e)!r}),")
+    print("]")
