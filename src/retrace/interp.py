@@ -114,11 +114,7 @@ class _Exec:
         self, proc: Procedure, frame_init: Optional[dict] = None
     ) -> dict[str, Union[bool, int]]:
         if proc.body is None:
-            self.exec_spec(
-                SpecStmt(tuple(sorted(proc.mod_set or proc.modifies)), proc.requires,
-                         proc.ensures, proc.trace),
-                {},
-            )
+            self.exec_spec(proc.spec_stmt(), {})
             return {}
         frame: dict[str, Union[bool, int]] = {
             name: False if ty == "bool" else 0 for name, ty in proc.locals.items()

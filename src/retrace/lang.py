@@ -9,8 +9,9 @@ annotations and `//` starts a line comment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import regex as rx
 from .formula import (
@@ -174,6 +175,17 @@ class Procedure:
     implicit: bool = field(default=False, compare=False)
     mod_set: Optional[frozenset[str]] = field(default=None, compare=False)
 
+    @property
+    def writes(self) -> frozenset[str]:
+        """The globals a call may write: the resolved mod set, or before
+        resolution the declared `modifies`."""
+        return self.mod_set if self.mod_set is not None else frozenset(self.modifies)
+
+    def spec_stmt(self, span: Optional[Span] = None) -> SpecStmt:
+        """The contract as one spec statement, as a call or a bodiless
+        procedure runs it."""
+        return SpecStmt(tuple(sorted(self.writes)), self.requires, self.ensures, self.trace, span=span)
+
 
 @dataclass
 class Program:
@@ -208,9 +220,21 @@ _SYMBOLS = [
     "(", ")", "{", "}", ";", ",", "=", "!", "<", ">", "+", "-", "*", "|",
 ]
 
+# One group per token kind; blanks and `//` comments match none.  Integers are
+# Unicode decimal digits, which int() accepts.  `\w` also matches other digits,
+# such as '²', and a word that starts with one is an unexpected character.
+_TOKEN = re.compile(
+    r"[ \t\r]+|//[^\n]*"
+    r"|(?P<newline>\n)"
+    r"|(?P<int>\d+)"
+    r"|(?P<sym>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")"
+    r"|(?P<pident>\w+)'"
+    r"|(?P<ident>\w+)"
+    r"|(?P<bad>.)"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # ident | pident | int | sym | eof
     text: str
     line: int
@@ -219,58 +243,23 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            if text == "_" and j < n and src[j] == "(":
-                toks.append(Token("sym", "_(", line, col))
-                col += 2
-                i = j + 1
-                continue
-            if j < n and src[j] == "'":
-                toks.append(Token("pident", text, line, col))
-                j += 1
-            else:
-                toks.append(Token("ident", text, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        text = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "bad" or (kind in ("ident", "pident") and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        toks.append(Token(kind, text, line, col))
+    # the end of input sits where the last line's code ends, before any comment
+    end = src.find("//", line_start)
+    toks.append(Token("eof", "", line, (len(src) if end < 0 else end) - line_start + 1))
     return toks
 
 
@@ -279,6 +268,8 @@ def tokenize(src: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 Typed = tuple[str, Union[Term, Formula]]  # ("int", Term) | ("bool", Formula)
+
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class _Parser:
@@ -296,7 +287,7 @@ class _Parser:
     # token plumbing
 
     def peek(self, off: int = 0) -> Token:
-        return self.toks[min(self.pos + off, len(self.toks) - 1)]
+        return self.toks[self.pos + off]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -323,20 +314,25 @@ class _Parser:
         t = self.peek()
         return Span(t.line, t.col)
 
+    def at_name(self) -> bool:
+        t = self.peek()
+        return t.kind == "ident" and t.text not in KEYWORDS
+
     def ident(self, what: str = "identifier") -> Token:
         t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
+        if not self.at_name():
             raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
         return self.next()
+
+    def event(self) -> str:
+        t = self.ident("event name")
+        if t.text not in self.events:
+            raise UndeclaredEvent(f"event {t.text!r} not declared", t.line, t.col)
+        return t.text
 
     # declarations
 
     def parse_program(self) -> Program:
-        while not self.at("events") and self.peek().kind != "eof":
-            t = self.peek()
-            if t.text in ("const", "bool", "int", "proc"):
-                break
-            raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
         while self.peek().kind != "eof":
             t = self.peek()
             if self.at("events"):
@@ -399,9 +395,7 @@ class _Parser:
             kind, val = self.parse_expression()
             if kind != ty:
                 raise TypeMismatch(f"initializer for {ty} variable {t.text!r} has type {kind}", t.line, t.col)
-            if isinstance(val, Term):
-                if not val.is_const():
-                    raise ParseError("global initializer must be constant", t.line, t.col)
+            if isinstance(val, Term) and val.is_const():
                 init = val.const
             elif isinstance(val, BoolLit):
                 init = val.value
@@ -417,7 +411,6 @@ class _Parser:
         self._check_fresh(t)
         self.expect("(")
         self.expect(")")
-        proc = Procedure(name=t.text, span=sp)
         self.cur_locals = {}
         requires: list[Formula] = []
         ensures: list[Formula] = []
@@ -447,22 +440,14 @@ class _Parser:
                 if self.at("local"):
                     t2 = self.peek()
                     raise ParseError("'local' trace annotations belong on loops", t2.line, t2.col)
-                r = self.parse_regex()
-                guard: Formula = TRUE
-                if self.accept("if"):
-                    guard = self.parse_formula()
-                options.append(TraceOption(r, guard))
+                options.append(self.parse_trace_option())
             self.expect(")")
-        proc.requires = conj(*requires)
-        proc.ensures = conj(*ensures)
-        proc.trace = TraceSpec(tuple(options))
-        proc.modifies = tuple(modifies)
-        if self.accept(";"):
-            proc.body = None
-        else:
-            proc.body = self.parse_block()
-        proc.locals = dict(self.cur_locals)
-        self.procs[t.text] = proc
+        body = None if self.accept(";") else self.parse_block()
+        self.procs[t.text] = Procedure(
+            t.text, requires=conj(*requires), ensures=conj(*ensures),
+            trace=TraceSpec(tuple(options)), modifies=tuple(modifies),
+            locals=dict(self.cur_locals), body=body, span=sp,
+        )
 
     # statements
 
@@ -493,15 +478,13 @@ class _Parser:
             kw = self.peek()
             if kw.text == "emit":
                 self.next()
-                ev = self.ident("event name")
-                if ev.text not in self.events:
-                    raise UndeclaredEvent(f"event {ev.text!r} not declared", ev.line, ev.col)
+                ev = self.event()
                 self.expect(")")
-                return Emit(ev.text, span=sp)
+                return Emit(ev, span=sp)
             raise ParseError(f"unexpected annotation {kw.text!r} in statement position", kw.line, kw.col)
         if self.at("bool") or self.at("int"):
             return self.parse_local_decl()
-        if t.kind == "ident" and t.text not in KEYWORDS:
+        if self.at_name():
             sp = self.span()
             name = self.next()
             if self.accept("("):
@@ -528,11 +511,7 @@ class _Parser:
         return stmt
 
     def parse_assign_rhs(self, name: Token, sp: Span) -> Command:
-        ty = self.cur_locals.get(name.text) or (
-            self.globals[name.text].type if name.text in self.globals else None
-        )
-        if ty is None:
-            raise UndeclaredVariable(f"variable {name.text!r} not declared", name.line, name.col)
+        ty = self._var_type(name)
         if self.at("nondet"):
             self.next()
             self.expect("(")
@@ -573,7 +552,7 @@ class _Parser:
         self.expect(")")
         invariants: list[Formula] = []
         options: list[TraceOption] = []
-        local_flag: Optional[bool] = None
+        local_flag = False
         while self.at("_(") and self.peek(1).text in ("invariant", "trace"):
             self.next()
             kw = self.next().text
@@ -581,22 +560,14 @@ class _Parser:
                 invariants.append(self.parse_formula())
             else:
                 is_local = self.accept("local") is not None
-                r = self.parse_regex()
-                guard: Formula = TRUE
-                if self.accept("if"):
-                    if is_local:
-                        t = self.peek()
-                        raise ParseError("'local' trace annotations take no guard", t.line, t.col)
-                    guard = self.parse_formula()
-                if local_flag is None:
-                    local_flag = is_local
-                elif local_flag != is_local:
-                    t = self.peek()
+                option = self.parse_trace_option(is_local)
+                t = self.peek()
+                if options and local_flag != is_local:
                     raise ParseError("cannot mix local and full-history trace annotations", t.line, t.col)
-                if is_local and options:
-                    t = self.peek()
+                if options and is_local:
                     raise ParseError("at most one 'local' trace annotation per loop", t.line, t.col)
-                options.append(TraceOption(r, guard))
+                local_flag = is_local
+                options.append(option)
             self.expect(")")
         body = self._branch()
         return While(
@@ -604,9 +575,19 @@ class _Parser:
             conj(*invariants),
             TraceSpec(tuple(options)),
             body,
-            local_trace=bool(local_flag),
+            local_trace=local_flag,
             span=sp,
         )
+
+    def parse_trace_option(self, local: bool = False) -> TraceOption:
+        """A trace clause `R (if F)?`; a `local` loop clause takes no guard."""
+        r = self.parse_regex()
+        if not self.accept("if"):
+            return TraceOption(r, TRUE)
+        if local:
+            t = self.peek()
+            raise ParseError("'local' trace annotations take no guard", t.line, t.col)
+        return TraceOption(r, self.parse_formula())
 
     # regular expressions
 
@@ -621,14 +602,8 @@ class _Parser:
 
     def _re_cat(self) -> rx.Regex:
         parts = [self._re_rep()]
-        while True:
-            t = self.peek()
-            if t.kind == "ident" and t.text not in KEYWORDS:
-                parts.append(self._re_rep())
-            elif t.text == "(" and t.kind == "sym":
-                parts.append(self._re_rep())
-            else:
-                break
+        while self.at_name() or self.at("("):
+            parts.append(self._re_rep())
         return rx.concat(*parts)
 
     def _re_rep(self) -> rx.Regex:
@@ -643,11 +618,8 @@ class _Parser:
 
     def _re_atom(self) -> rx.Regex:
         t = self.peek()
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            if t.text not in self.events:
-                raise UndeclaredEvent(f"event {t.text!r} not declared", t.line, t.col)
-            return rx.symbol(t.text)
+        if self.at_name():
+            return rx.symbol(self.event())
         if self.accept("("):
             if self.accept(")"):
                 return rx.EPSILON
@@ -660,11 +632,7 @@ class _Parser:
 
     def parse_formula(self) -> Formula:
         t = self.peek()
-        kind, val = self.parse_expression()
-        if kind != "bool":
-            raise TypeMismatch("expected a boolean expression", t.line, t.col)
-        assert isinstance(val, Formula)
-        return val
+        return self._as_bool(self.parse_expression(), t, "expression")
 
     def parse_expression(self) -> Typed:
         return self._imp()
@@ -678,32 +646,26 @@ class _Parser:
         return lhs
 
     def _or(self) -> Typed:
-        first_ = self._and()
-        if not self.at("||"):
-            return first_
-        t = self.peek()
-        parts = [self._as_bool(first_, t)]
-        while self.accept("||"):
-            parts.append(self._as_bool(self._and(), self.peek()))
-        return "bool", disj(*parts)
+        return self._nary("||", self._and, disj)
 
     def _and(self) -> Typed:
-        first_ = self._cmp()
-        if not self.at("&&"):
+        return self._nary("&&", self._cmp, conj)
+
+    def _nary(self, op: str, operand: Callable[[], Typed], build: Callable[..., Formula]) -> Typed:
+        first_ = operand()
+        if not self.at(op):
             return first_
-        t = self.peek()
-        parts = [self._as_bool(first_, t)]
-        while self.accept("&&"):
-            parts.append(self._as_bool(self._cmp(), self.peek()))
-        return "bool", conj(*parts)
+        parts = [self._as_bool(first_, self.peek())]
+        while self.accept(op):
+            parts.append(self._as_bool(operand(), self.peek()))
+        return "bool", build(*parts)
 
     def _cmp(self) -> Typed:
         lhs = self._add()
         t = self.peek()
-        op = t.text if t.text in ("==", "!=", "<", "<=", ">", ">=") else None
-        if op is None:
+        if t.text not in _COMPARISONS:
             return lhs
-        self.next()
+        op = self.next().text
         rhs = self._add()
         a = self._as_int(lhs, t)
         b = self._as_int(rhs, t)
@@ -712,22 +674,18 @@ class _Parser:
         elif op == ">=":
             op, a, b = "<=", b, a
         t2 = self.peek()
-        if t2.text in ("==", "!=", "<", "<=", ">", ">="):
+        if t2.text in _COMPARISONS:
             raise ParseError("comparisons cannot be chained", t2.line, t2.col)
         return "bool", cmp(op, a, b)
 
     def _add(self) -> Typed:
         acc = self._mul()
-        while True:
-            t = self.peek()
-            if t.text == "+" and t.kind == "sym":
-                self.next()
-                acc = ("int", self._as_int(acc, t) + self._as_int(self._mul(), t))
-            elif t.text == "-" and t.kind == "sym":
-                self.next()
-                acc = ("int", self._as_int(acc, t) - self._as_int(self._mul(), t))
-            else:
-                return acc
+        while self.at("+") or self.at("-"):
+            t = self.next()
+            a = self._as_int(acc, t)
+            b = self._as_int(self._mul(), t)
+            acc = ("int", a + b if t.text == "+" else a - b)
+        return acc
 
     def _mul(self) -> Typed:
         lhs = self._unary()
@@ -749,8 +707,7 @@ class _Parser:
         if self.accept("!"):
             inner = self._unary()
             return "bool", neg(self._as_bool(inner, t))
-        if t.text == "-" and t.kind == "sym":
-            self.next()
+        if self.accept("-"):
             inner = self._unary()
             return "int", -self._as_int(inner, t)
         return self._primary()
@@ -785,20 +742,23 @@ class _Parser:
                 )
             if not primed and t.text in self.consts:
                 return "int", tconst(self.consts[t.text])
-            ty = self.cur_locals.get(t.text) or (
-                self.globals[t.text].type if t.text in self.globals else None
-            )
-            if ty is None:
-                raise UndeclaredVariable(f"variable {t.text!r} not declared", t.line, t.col)
-            if ty == "bool":
+            if self._var_type(t) == "bool":
                 return "bool", BoolRef(Var(t.text, primed))
             return "int", tvar(t.text, primed)
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
 
-    def _as_bool(self, tv: Typed, t: Token) -> Formula:
+    def _var_type(self, name: Token) -> str:
+        ty = self.cur_locals.get(name.text)
+        if ty is None and name.text in self.globals:
+            ty = self.globals[name.text].type
+        if ty is None:
+            raise UndeclaredVariable(f"variable {name.text!r} not declared", name.line, name.col)
+        return ty
+
+    def _as_bool(self, tv: Typed, t: Token, what: str = "operand") -> Formula:
         kind, val = tv
         if kind != "bool":
-            raise TypeMismatch("expected a boolean operand", t.line, t.col)
+            raise TypeMismatch(f"expected a boolean {what}", t.line, t.col)
         assert isinstance(val, Formula)
         return val
 
@@ -818,6 +778,12 @@ def parse(src: str, source: str = "<input>") -> Program:
 # ---------------------------------------------------------------------------
 # Pretty printer
 # ---------------------------------------------------------------------------
+
+
+def _pp_trace(spec: TraceSpec, kw: str, pad: str, out: list[str]) -> None:
+    for o in spec.options:
+        guard = "" if o.guard == TRUE else f" if {render_formula(o.guard)}"
+        out.append(f"{pad}_({kw} {rx.render(o.regex)}{guard})")
 
 
 def _pp_stmt(c: Command, indent: int, out: list[str]) -> None:
@@ -846,12 +812,7 @@ def _pp_stmt(c: Command, indent: int, out: list[str]) -> None:
         out.append(pad + f"while ({render_formula(c.test)})")
         if c.invariant != TRUE:
             out.append(pad + f"  _(invariant {render_formula(c.invariant)})")
-        for o in c.trace_inv.options:
-            kw = "trace local" if c.local_trace else "trace"
-            if o.guard == TRUE:
-                out.append(pad + f"  _({kw} {rx.render(o.regex)})")
-            else:
-                out.append(pad + f"  _({kw} {rx.render(o.regex)} if {render_formula(o.guard)})")
+        _pp_trace(c.trace_inv, "trace local" if c.local_trace else "trace", pad + "  ", out)
         _pp_stmt(c.body, indent, out)
     elif isinstance(c, (SpecStmt, Abort)):
         raise ValueError(f"{type(c).__name__} has no concrete syntax")
@@ -889,11 +850,7 @@ def pretty(p: Program) -> str:
             out.append(f"  _(ensures {render_formula(proc.ensures)})")
         if proc.modifies:
             out.append("  _(modifies " + ", ".join(proc.modifies) + ")")
-        for o in proc.trace.options:
-            if o.guard == TRUE:
-                out.append(f"  _(trace {rx.render(o.regex)})")
-            else:
-                out.append(f"  _(trace {rx.render(o.regex)} if {render_formula(o.guard)})")
+        _pp_trace(proc.trace, "trace", "  ", out)
         if proc.body is None:
             out.append(";")
         else:
@@ -974,7 +931,7 @@ class _Resolver:
                     raise UndeclaredEvent(f"event {ev!r} not declared", *_at(proc.span))
             self.check_formula(o.guard, proc, primed_ok)
 
-    def check_formula(self, f: Formula, proc: Optional[Procedure], primed_ok: bool) -> None:
+    def check_formula(self, f: Formula, proc: Procedure, primed_ok: bool) -> None:
         kinds: dict[Var, str] = {}
         for a in atoms(f):
             if isinstance(a, Cmp):
@@ -983,15 +940,12 @@ class _Resolver:
                 kinds.setdefault(v, "bool" if isinstance(a, BoolRef) else "int")
         for v in sorted(kinds):
             if v.primed and not primed_ok:
-                raise TypeMismatch(f"primed variable {v} not allowed here", *_at(proc.span if proc else None))
+                raise TypeMismatch(f"primed variable {v} not allowed here", *_at(proc.span))
             ty = self.p.var_type(v.name, proc)
             if ty is None:
-                raise UndeclaredVariable(f"variable {v.name!r} not declared", *_at(proc.span if proc else None))
+                raise UndeclaredVariable(f"variable {v.name!r} not declared", *_at(proc.span))
             if kinds[v] != ty:
-                raise TypeMismatch(
-                    f"variable {v} used as {kinds[v]}, declared {ty}",
-                    *_at(proc.span if proc else None),
-                )
+                raise TypeMismatch(f"variable {v} used as {kinds[v]}, declared {ty}", *_at(proc.span))
 
     def check_cmd(self, c: Command, proc: Procedure) -> None:
         p = self.p
@@ -1100,10 +1054,8 @@ def modified_in(c: Command, p: Program) -> set[str]:
     _assigned(c, mods, callees)
     for q in callees:
         proc = p.procedures.get(q)
-        if proc is not None and proc.mod_set is not None:
-            mods |= proc.mod_set
-        elif proc is not None:
-            mods |= set(proc.modifies)
+        if proc is not None:
+            mods |= proc.writes
     return mods
 
 

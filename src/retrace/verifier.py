@@ -339,9 +339,7 @@ class Verifier:
         if isinstance(c, While):
             return self.exec_while(c, state, proc, obs, warnings)
         if isinstance(c, Call):
-            callee = self.p.procedures[c.proc]
-            mods = tuple(sorted(callee.mod_set if callee.mod_set is not None else frozenset(callee.modifies)))
-            stmt = SpecStmt(mods, callee.requires, callee.ensures, callee.trace, span=c.span)
+            stmt = self.p.procedures[c.proc].spec_stmt(c.span)
             return self.exec_spec_stmt(stmt, state, proc, obs, f"call {c.proc}")
         if isinstance(c, SpecStmt):
             return self.exec_spec_stmt(c, state, proc, obs, "spec statement")

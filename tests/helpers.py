@@ -23,6 +23,7 @@ from retrace.formula import (
     tconst,
     tvar,
 )
+from retrace.lang import _SYMBOLS, ParseError, Token
 
 Word = tuple[str, ...]
 Buckets = tuple[frozenset[Word], ...]
@@ -128,6 +129,66 @@ def reference_included(u: rx.Regex, v: rx.Regex) -> rx.InclusionResult:
 
     w = go(u, v)
     return rx.InclusionResult(w is None, w)
+
+
+def reference_tokenize(src: str) -> list[Token]:
+    """The lexer as a character-at-a-time loop, the reference for
+    `lang.tokenize`.  It differs in one case only: a non-decimal digit such
+    as '²' starts an integer here, which `int()` then rejects."""
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(Token("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            text = src[i:j]
+            if text == "_" and j < n and src[j] == "(":
+                toks.append(Token("sym", "_(", line, col))
+                col += 2
+                i = j + 1
+                continue
+            if j < n and src[j] == "'":
+                toks.append(Token("pident", text, line, col))
+                j += 1
+            else:
+                toks.append(Token("ident", text, line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if src.startswith(sym, i):
+                toks.append(Token("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
 
 
 def random_regex(rng: random.Random, size: int, alphabet: tuple[str, ...]) -> rx.Regex:

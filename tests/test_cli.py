@@ -34,6 +34,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_non_decimal_digit_is_a_source_error(tmp_path, capsys):
+    bad = tmp_path / "bad.rt"
+    bad.write_text("events a;\nint x = ²;\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, str(bad))
+    assert code == 2
+    assert f"{bad}: error: 2:9: unexpected character '²'" in err
+    assert "internal error" not in err
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run_cli(capsys, "/nonexistent/prog.rt")
     assert code == 2

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from retrace import regex as rx
 from retrace.corpus import CORPUS, MUTANTS, path
 from retrace.formula import TRUE, BoolRef, Var, cmp, neg, tconst, tvar
+from helpers import reference_tokenize
 from retrace.lang import (
+    KEYWORDS,
     Assign,
     Call,
     DuplicateName,
@@ -13,6 +17,7 @@ from retrace.lang import (
     Seq,
     SourceError,
     TypeMismatch,
+    _SYMBOLS,
     UnboundName,
     UndeclaredEvent,
     UndeclaredVariable,
@@ -22,6 +27,7 @@ from retrace.lang import (
     parse,
     pretty,
     resolve,
+    tokenize,
 )
 from retrace.tracespec import TraceOption
 
@@ -296,6 +302,44 @@ def test_parse_error_golden(src, cls, msg):
     with pytest.raises(SourceError) as exc:
         parse(src)
     assert (type(exc.value), str(exc.value)) == (cls, msg)
+
+
+def test_non_decimal_digit_is_a_positioned_error():
+    with pytest.raises(ParseError) as exc:
+        parse("events a;\nint x = ²;")
+    assert str(exc.value) == "2:9: unexpected character '²'"
+    assert parse("events a;\nint x = ٣;").variables["x"].init == 3
+
+
+# -- lexer against the reference loop -----------------------------------------
+
+_FRAGMENTS = sorted(KEYWORDS) + list(_SYMBOLS) + [
+    "x", "x1", "x'", "_x", "_", "_'", "__(", "a_(", "été", "Ω'", "变量", "x²",
+    "0", "42", "007", "٣", "// note", "//", "/",
+    " ", "\t", "\r", "\n", "\r\n",
+    "@", "#", ".", "'", "²", "½", "\u00a0", "\x0c",
+]
+_source_st = st.lists(
+    st.sampled_from(_FRAGMENTS) | st.text(alphabet="ab_1 '(/\n²", max_size=3), max_size=30
+).map("".join)
+
+
+@given(_source_st)
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_reference(src):
+    try:
+        want = reference_tokenize(src)
+    except ParseError as e:
+        want = str(e)
+    try:
+        got = tokenize(src)
+    except ParseError as e:
+        # the fixed bug: the reference starts an integer at a non-decimal
+        # digit such as '²', which int() then rejects
+        bad = e.msg[-2]
+        assume(not (e.msg.startswith("unexpected character") and bad.isdigit() and not bad.isdecimal()))
+        got = str(e)
+    assert got == want
 
 
 # -- resolve ------------------------------------------------------------------
