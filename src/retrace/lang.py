@@ -656,8 +656,8 @@ class _Parser:
         if not self.at(op):
             return first_
         parts = [self._as_bool(first_, self.peek())]
-        while self.accept(op):
-            parts.append(self._as_bool(operand(), self.peek()))
+        while tok := self.accept(op):
+            parts.append(self._as_bool(operand(), tok))
         return "bool", build(*parts)
 
     def _cmp(self) -> Typed:

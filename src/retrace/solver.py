@@ -1,10 +1,22 @@
 """Satisfiability and entailment for the quantifier-free formula fragment.
 
-Two backends share one interface: a built-in decision procedure
-(propositional search over the atoms with Fourier-Motzkin elimination and
-integer bound tightening on the arithmetic part) and an external SMT-LIB v2
-solver driven over a subprocess pipe.  Both are sound: a definite sat/unsat
+Two backends share one interface.  Both are sound: a definite sat/unsat
 answer is never wrong, and anything undecided is reported as unknown.
+
+The built-in backend is a small DPLL(T) search.  The top-level conjunction
+of a formula becomes clauses: disjunctions of literals, which unit
+propagation works on, and any other conjunct, which is evaluated three-valued
+once its atoms are assigned.  Atoms are decided in order of first
+occurrence, true first.  After each propagation, Fourier-Motzkin
+elimination with gcd tightening runs on the comparisons assigned so far,
+leaving disequalities out, so a conflict between them cuts the branch at
+once.  At a leaf the integer part is solved without its disequalities, by
+Fourier-Motzkin refutation and a search over the projected intervals; only
+a disequality that the model found violates is split into its two sides.
+Every query has a step budget (DPLL decisions plus Fourier-Motzkin
+combinations), and running out of it gives unknown.
+
+The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 """
 
 from __future__ import annotations
@@ -29,7 +41,6 @@ from .formula import (
     atom_vars,
     atoms,
     conj,
-    free_vars,
     neg,
 )
 
@@ -73,104 +84,111 @@ class Solver:
 # Built-in backend
 # ---------------------------------------------------------------------------
 
-# A linear constraint `coeffs . vars <= bound` over the integers.
-Lin = tuple[tuple[tuple[Var, int], ...], int]
+# A linear constraint `coeffs . vars <= bound` over the integers.  Inside a
+# query the integer variables are numbered in their sorted order.
+Coeffs = tuple[tuple[int, int], ...]
+Lin = tuple[Coeffs, int]
+# A conjunction of constraints, keeping the tightest bound for each
+# coefficient vector: a looser parallel bound never decides anything.
+Cons = dict[Coeffs, int]
+
+_FALSE: Lin = ((), -1)  # the contradiction 0 <= -1
 
 _WIDE_INTERVAL = 4096
 _UNBOUNDED_WINDOW = 33
-_MAX_CONSTRAINTS = 800
+# Steps one query may take, counting DPLL decisions and Fourier-Motzkin
+# combinations; a query that runs out is unknown.
+_STEP_BUDGET = 100_000
 
 
-def _add_constraint(acc: list[Lin], coeffs: dict[Var, int], bound: int) -> bool:
-    """Normalize (gcd tightening, valid over the integers) and append;
-    returns False on an immediate contradiction."""
-    items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-    if not items:
-        return bound >= 0
-    g = 0
-    for _, c in items:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        items = tuple((v, c // g) for v, c in items)
-        bound = bound // g  # floor: sound for integer solutions
-    lin = (items, bound)
-    if lin not in acc:
-        acc.append(lin)
-    return True
-
-
-def _term_pair(t: Term) -> tuple[dict[Var, int], int]:
-    return ({v: c for v, c in t.coeffs}, t.const)
-
-
-def _atom_constraints(atom: Cmp, value: bool) -> list[list[tuple[dict[Var, int], int]]]:
-    """The alternatives for one comparison literal, each a conjunction of
-    constraints (coeffs <= bound); only a disequality has two, lhs < rhs
-    and lhs > rhs."""
-    lc, lk = _term_pair(atom.lhs)
-    rc, rk = _term_pair(atom.rhs)
-    diff = dict(lc)
-    for v, c in rc.items():
-        diff[v] = diff.get(v, 0) - c
-    k = rk - lk  # lhs - rhs <= k forms
-    op = atom.op
-    if not value:
-        op = {"==": "!=", "!=": "==", "<": ">=", "<=": ">"}[op]
-    flipped = {v: -c for v, c in diff.items()}
-    lt, le = (diff, k - 1), (diff, k)
-    gt, ge = (flipped, -k - 1), (flipped, -k)
-    return {
-        "==": [[le, ge]],
-        "!=": [[lt], [gt]],
-        "<": [[lt]],
-        "<=": [[le]],
-        ">": [[gt]],
-        ">=": [[ge]],
-    }[op]
-
-
-def _eliminate(x: Var, cons: list[Lin]) -> Optional[list[Lin]]:
-    """One Fourier-Motzkin step; returns None on contradiction."""
-    pos: list[Lin] = []
-    negs: list[Lin] = []
-    rest: list[Lin] = []
-    for coeffs, bound in cons:
-        c = dict(coeffs).get(x, 0)
-        if c > 0:
-            pos.append((coeffs, bound))
-        elif c < 0:
-            negs.append((coeffs, bound))
-        else:
-            rest.append((coeffs, bound))
-    out = list(rest)
-    for pc, pk in pos:
-        a = dict(pc)[x]
-        for nc, nk in negs:
-            b = -dict(nc)[x]
-            combined: dict[Var, int] = {}
-            for v, c in pc:
-                if v != x:
-                    combined[v] = combined.get(v, 0) + b * c
-            for v, c in nc:
-                if v != x:
-                    combined[v] = combined.get(v, 0) + a * c
-            if not _add_constraint(out, combined, b * pk + a * nk):
-                return None
-            if len(out) > _MAX_CONSTRAINTS:
-                raise _Blowup()
-    return out
-
-
-class _Blowup(Exception):
+class _OutOfSteps(Exception):
     pass
 
 
-def _bounds_for(x: Var, cons: list[Lin], model: dict[Var, int]) -> Optional[tuple[Optional[int], Optional[int]]]:
+class _Steps:
+    """What is left of one query's step budget."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = _STEP_BUDGET
+
+    def spend(self, n: int) -> None:
+        self.left -= n
+        if self.left < 0:
+            raise _OutOfSteps
+
+
+def _lin(coeffs: dict[int, int], bound: int) -> Optional[Lin]:
+    """Normalize with gcd tightening (valid over the integers): None when
+    the constraint always holds, `_FALSE` when it never does."""
+    items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
+    if not items:
+        return None if bound >= 0 else _FALSE
+    g = math.gcd(*(c for _, c in items))
+    if g > 1:
+        items = tuple((v, c // g) for v, c in items)
+        bound = bound // g  # floor: sound for integer solutions
+    return items, bound
+
+
+def _tighten(cons: Cons, lin: Lin) -> None:
+    coeffs, bound = lin
+    if bound < cons.get(coeffs, bound + 1):
+        cons[coeffs] = bound
+
+
+def _eliminate(x: int, cons: Cons, steps: _Steps) -> Optional[Cons]:
+    """One Fourier-Motzkin step; returns None on contradiction.  Variables
+    are eliminated smallest first, so x leads every constraint it is in."""
+    pos: list[tuple[int, Lin]] = []
+    negs: list[tuple[int, Lin]] = []
+    out: Cons = {}
+    for lin in cons.items():
+        lead, c = lin[0][0]
+        if lead != x:
+            out[lin[0]] = lin[1]
+        elif c > 0:
+            pos.append((c, lin))
+        else:
+            negs.append((-c, lin))
+    steps.spend(len(pos) * len(negs))
+    for a, (pc, pk) in pos:
+        for b, (nc, nk) in negs:
+            combined = {v: b * c for v, c in pc[1:]}
+            for v, c in nc[1:]:
+                combined[v] = combined.get(v, 0) + a * c
+            lin = _lin(combined, b * pk + a * nk)
+            if lin is _FALSE:
+                return None
+            if lin is not None:
+                _tighten(out, lin)
+    return out
+
+
+def _project(cons: Cons, steps: _Steps) -> Optional[list[tuple[int, Cons]]]:
+    """Fourier-Motzkin elimination of every variable, smallest first: the
+    stages pair each variable with the constraints it was eliminated from.
+    None when a contradiction is derived."""
+    if () in cons:  # only _FALSE has no variables
+        return None
+    stages: list[tuple[int, Cons]] = []
+    cur = cons
+    for x in sorted({v for coeffs in cons for v, _ in coeffs}):
+        stages.append((x, cur))
+        nxt = _eliminate(x, cur, steps)
+        if nxt is None:
+            return None
+        cur = nxt
+    return stages
+
+
+def _bounds_for(x: int, cons: Cons, model: dict[int, int]) -> Optional[tuple[Optional[int], Optional[int]]]:
     """Integer bounds on x implied by `cons` once the other variables take
     their model values; None when already contradictory."""
     lo: Optional[int] = None
     hi: Optional[int] = None
-    for coeffs, bound in cons:
+    for coeffs, bound in cons.items():
         cx = 0
         rest = 0
         for v, c in coeffs:
@@ -193,34 +211,21 @@ def _bounds_for(x: Var, cons: list[Lin], model: dict[Var, int]) -> Optional[tupl
     return lo, hi
 
 
-def _search_linear(cons: list[Lin]) -> tuple[str, Optional[dict[Var, int]]]:
-    """Decide a conjunction of integer linear inequalities.
+def _search_linear(cons: Cons, steps: _Steps) -> tuple[str, Optional[dict[int, int]]]:
+    """Decide a conjunction of normalized integer linear inequalities.
 
     Fourier-Motzkin elimination with gcd tightening refutes; backtracking
     over the projected integer intervals constructs a model.  When an
     interval is unbounded only a finite window is probed, so the answer
     degrades to unknown instead of unsat.
     """
-    vars_: list[Var] = sorted({v for coeffs, _ in cons for v, _ in coeffs})
-    norm: list[Lin] = []
-    for coeffs, bound in cons:
-        if not _add_constraint(norm, dict(coeffs), bound):
-            return "unsat", None
-    stages: list[tuple[Var, list[Lin]]] = []
-    cur = norm
-    try:
-        for x in vars_:
-            stages.append((x, cur))
-            nxt = _eliminate(x, cur)
-            if nxt is None:
-                return "unsat", None
-            cur = nxt
-    except _Blowup:
-        return "unknown", None
+    stages = _project(cons, steps)
+    if stages is None:
+        return "unsat", None
 
     incomplete = False
 
-    def assign(i: int, model: dict[Var, int]) -> Optional[dict[Var, int]]:
+    def assign(i: int, model: dict[int, int]) -> Optional[dict[int, int]]:
         nonlocal incomplete
         if i < 0:
             return model
@@ -262,6 +267,349 @@ def _search_linear(cons: list[Lin]) -> tuple[str, Optional[dict[Var, int]]]:
     return ("unknown", None) if incomplete else ("unsat", None)
 
 
+# A disequality `coeffs . vars != k`, with its two sides `< k` and `> k`.
+_Diseq = tuple[tuple[tuple[int, int], ...], int, Lin, Lin]
+# What a comparison literal asks of the integers: a conjunction of
+# constraints, and a disequality or None.
+_Theory = tuple[tuple[Lin, ...], Optional[_Diseq]]
+
+_NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">"}
+
+
+def _kleene(t: object, val: list[Optional[bool]]) -> Optional[bool]:
+    """Three-valued evaluation of a compiled clause (see `_Query._tree`)
+    under a partial assignment of the atoms."""
+    if type(t) is int:
+        return val[t]
+    if type(t) is bool:
+        return t
+    assert isinstance(t, tuple)
+    if t[0] == "!":
+        r = _kleene(t[1], val)
+        return None if r is None else not r
+    if t[0] == "=>":
+        lhs, rhs = _kleene(t[1], val), _kleene(t[2], val)
+        if lhs is False or rhs is True:
+            return True
+        return False if lhs is True and rhs is False else None
+    decisive = t[0] == "|"  # the value of one argument that settles it
+    out: Optional[bool] = not decisive
+    for a in t[1]:
+        r = _kleene(a, val)
+        if r is decisive:
+            return decisive
+        if r is None:
+            out = None
+    return out
+
+
+class _Query:
+    """One satisfiability query: DPLL with unit propagation over the clauses
+    of the formula's top-level conjunction, Fourier-Motzkin refutation of
+    the comparisons assigned so far, and lazy disequality splits at the
+    leaves.
+
+    Atoms are decided in order of first occurrence, true first, and a leaf
+    is a prefix of that order under which the formula is true, so the
+    first model found does not depend on what propagation or the theory
+    checks prune.
+    """
+
+    def __init__(self, f: Formula) -> None:
+        self.steps = _Steps()
+        self.atoms: list[Formula] = []
+        self.index: dict[Formula, int] = {}
+        # each clause is a disjunction of literals (atom, polarity) or, when
+        # it is not one, a compiled formula with lits None
+        self.lits: list[Optional[tuple[tuple[int, bool], ...]]] = []
+        self.trees: list[object] = []
+        occ: list[set[int]] = []
+        self._conjuncts(f, True, occ)
+        self.occ: list[list[int]] = [[] for _ in self.atoms]
+        for c, mentioned in enumerate(occ):
+            for i in mentioned:
+                self.occ[i].append(c)
+        self.ints = sorted({v for a in self.atoms if isinstance(a, Cmp) for v in atom_vars(a)})
+        self.ids = {v: n for n, v in enumerate(self.ints)}
+        # per comparison atom, its literals' theories by polarity, made on first use
+        self.theories: list[Optional[list[Optional[_Theory]]]] = [
+            [None, None] if isinstance(a, Cmp) else None for a in self.atoms
+        ]
+        self.val: list[Optional[bool]] = [None] * len(self.atoms)
+        self.trail: list[int] = []
+        self.sat = [False] * len(self.lits)
+        self.sat_trail: list[int] = []
+
+    # -- clauses ------------------------------------------------------------
+
+    def _atom(self, a: Formula) -> int:
+        i = self.index.get(a)
+        if i is None:
+            i = self.index[a] = len(self.atoms)
+            self.atoms.append(a)
+        return i
+
+    def _conjuncts(self, g: Formula, pos: bool, occ: list[set[int]]) -> None:
+        """Add the clauses of `g` (negated unless `pos`), one per conjunct."""
+        if isinstance(g, (BoolRef, Cmp)):
+            i = self._atom(g)
+            self.lits.append(((i, pos),))
+            self.trees.append(None)
+            occ.append({i})
+        elif isinstance(g, Not):
+            self._conjuncts(g.arg, not pos, occ)
+        elif isinstance(g, And if pos else Or):
+            for a in g.args:
+                self._conjuncts(a, pos, occ)
+        elif isinstance(g, Implies) and not pos:
+            self._conjuncts(g.lhs, True, occ)
+            self._conjuncts(g.rhs, False, occ)
+        elif isinstance(g, BoolLit):
+            if g.value != pos:
+                self.lits.append(())
+                self.trees.append(None)
+                occ.append(set())
+        else:
+            lits: list[tuple[int, bool]] = []
+            mentioned: set[int] = set()
+            if self._literals(g, pos, lits):
+                self.lits.append(tuple(dict.fromkeys(lits)))
+                self.trees.append(None)
+                mentioned.update(i for i, _ in lits)
+            else:
+                tree = self._tree(g, mentioned)
+                self.lits.append(None)
+                self.trees.append(tree if pos else ("!", tree))
+            occ.append(mentioned)
+
+    def _literals(self, g: Formula, pos: bool, out: list[tuple[int, bool]]) -> bool:
+        """Append the literals of `g` as a disjunction; False if it is not one."""
+        if isinstance(g, (BoolRef, Cmp)):
+            out.append((self._atom(g), pos))
+            return True
+        if isinstance(g, Not):
+            return self._literals(g.arg, not pos, out)
+        if isinstance(g, Or if pos else And):
+            return all(self._literals(a, pos, out) for a in g.args)
+        if isinstance(g, Implies) and pos:
+            return self._literals(g.lhs, False, out) and self._literals(g.rhs, True, out)
+        return False
+
+    def _tree(self, g: Formula, mentioned: set[int]) -> object:
+        """`g` with its atoms as indices: an int, a bool, ("!", t),
+        ("&", ts), ("|", ts) or ("=>", t, u)."""
+        if isinstance(g, (BoolRef, Cmp)):
+            i = self._atom(g)
+            mentioned.add(i)
+            return i
+        if isinstance(g, BoolLit):
+            return g.value
+        if isinstance(g, Not):
+            return ("!", self._tree(g.arg, mentioned))
+        if isinstance(g, (And, Or)):
+            return ("&" if isinstance(g, And) else "|", tuple(self._tree(a, mentioned) for a in g.args))
+        assert isinstance(g, Implies)
+        return ("=>", self._tree(g.lhs, mentioned), self._tree(g.rhs, mentioned))
+
+    # -- search -------------------------------------------------------------
+
+    def run(self) -> SatResult:
+        try:
+            status, model = self._root()
+        except _OutOfSteps:
+            return SatResult("unknown", diagnostic=f"step budget of {_STEP_BUDGET} exhausted")
+        if status == "sat":
+            assert model is not None
+            bools = {a.var for a in self.atoms if isinstance(a, BoolRef)}
+            for v in sorted(bools.union(self.ints)):
+                if v not in model:
+                    model[v] = False if v in bools else 0
+            return SatResult("sat", model)
+        if status == "unsat":
+            return SatResult("unsat")
+        return SatResult("unknown", diagnostic="incomplete arithmetic search")
+
+    def _root(self) -> tuple[str, Optional[Model]]:
+        if not all(self.sat[c] or self._settle(c) for c in range(len(self.lits))):
+            return "unsat", None
+        if not self._propagate(0):
+            return "unsat", None
+        return self._search(0, 0)
+
+    def _settle(self, c: int) -> bool:
+        """Mark clause c satisfied if it is, or assign its one open literal;
+        False on a conflict."""
+        lits = self.lits[c]
+        if lits is None:
+            r = _kleene(self.trees[c], self.val)
+            if r is None:
+                return True
+            if not r:
+                return False
+        else:
+            free = 0
+            for i, pos in lits:
+                v = self.val[i]
+                if v is None:
+                    free += 1
+                    unit = i, pos
+                elif v is pos:
+                    break
+            else:
+                if free != 1:
+                    return free > 1
+                self.val[unit[0]] = unit[1]
+                self.trail.append(unit[0])
+        self.sat[c] = True
+        self.sat_trail.append(c)
+        return True
+
+    def _propagate(self, q: int) -> bool:
+        """Unit propagation from trail position q; False on a conflict."""
+        trail, sat = self.trail, self.sat
+        while q < len(trail):
+            for c in self.occ[trail[q]]:
+                if not sat[c] and not self._settle(c):
+                    return False
+            q += 1
+        return True
+
+    def _search(self, nxt: int, checked: int) -> tuple[str, Optional[Model]]:
+        """Search below the current assignment, whose atoms before `nxt` are
+        assigned and whose comparisons up to trail position `checked`
+        passed a theory check."""
+        val = self.val
+        while nxt < len(val) and val[nxt] is not None:
+            nxt += 1
+        if len(self.sat_trail) == len(self.lits) and nxt == len(self.trail):
+            return self._leaf()
+        if self._refuted(checked):
+            return "unsat", None
+        checked = len(self.trail)
+        unknown = False
+        for value in (True, False):
+            self.steps.spend(1)
+            trail_mark, sat_mark = len(self.trail), len(self.sat_trail)
+            val[nxt] = value
+            self.trail.append(nxt)
+            if self._propagate(trail_mark):
+                status, model = self._search(nxt + 1, checked)
+                if status == "sat":
+                    return status, model
+                unknown = unknown or status == "unknown"
+            for i in self.trail[trail_mark:]:
+                val[i] = None
+            del self.trail[trail_mark:]
+            for c in self.sat_trail[sat_mark:]:
+                self.sat[c] = False
+            del self.sat_trail[sat_mark:]
+        return ("unknown" if unknown else "unsat"), None
+
+    def _theory(self, i: int) -> Optional[_Theory]:
+        """What the assigned literal of atom i asks of the integers; None
+        for a boolean variable."""
+        by_value = self.theories[i]
+        if by_value is None:
+            return None
+        value = self.val[i]
+        assert value is not None
+        th = by_value[value]
+        if th is None:
+            th = by_value[value] = _theory_of(self.atoms[i], value, self.ids)  # type: ignore[arg-type]
+        return th
+
+    def _refuted(self, checked: int) -> bool:
+        """Fourier-Motzkin refutes the comparisons assigned so far, leaving
+        disequalities out; only tried when one was assigned after `checked`."""
+        if not any((th := self._theory(i)) and th[0] for i in self.trail[checked:]):
+            return False
+        cons: Cons = {}
+        for i in self.trail:
+            th = self._theory(i)
+            if th is not None:
+                for lin in th[0]:
+                    _tighten(cons, lin)
+        return _project(cons, self.steps) is None
+
+    def _leaf(self) -> tuple[str, Optional[Model]]:
+        """The theory check of a leaf, whose assigned atoms are a prefix."""
+        cons: Cons = {}
+        diseqs: list[_Diseq] = []
+        ints: set[int] = set()
+        model: Model = {}
+        for i, a in enumerate(self.atoms[: len(self.trail)]):
+            th = self._theory(i)
+            if th is None:
+                assert isinstance(a, BoolRef)
+                model[a.var] = self.val[i]
+                continue
+            lins, diseq = th
+            for lin in lins:
+                _tighten(cons, lin)
+            if diseq is not None:
+                diseqs.append(diseq)
+            ints.update(self.ids[v] for v in atom_vars(a))
+        status, intmodel = self._split(cons, diseqs)
+        if status != "sat":
+            return status, None
+        assert intmodel is not None
+        for v in sorted(ints):
+            model[self.ints[v]] = intmodel.get(v, 0)
+        return "sat", model
+
+    def _split(self, cons: Cons, diseqs: list[_Diseq]) -> tuple[str, Optional[dict[int, int]]]:
+        """Decide `cons` and `diseqs` by solving `cons` alone and splitting
+        only on a disequality its model violates, or, when `cons` is
+        undecided, on the first one."""
+        status, model = _search_linear(cons, self.steps)
+        if status == "sat":
+            assert model is not None
+            d = next((d for d in diseqs if sum(c * model.get(v, 0) for v, c in d[0]) == d[1]), None)
+            if d is None:
+                return status, model
+        elif status == "unsat" or not diseqs:
+            return status, None
+        else:
+            d = diseqs[0]
+        rest = [e for e in diseqs if e is not d]
+        unknown = False
+        for side in d[2:]:
+            branch = dict(cons)
+            _tighten(branch, side)
+            status, model = self._split(branch, rest)
+            if status == "sat":
+                return status, model
+            unknown = unknown or status == "unknown"
+        return ("unknown" if unknown else "unsat"), None
+
+
+def _theory_of(atom: Cmp, value: bool, ids: dict[Var, int]) -> _Theory:
+    """What the literal `atom` (negated unless `value`) asks of the integers."""
+    diff: dict[int, int] = {}
+    for v, c in atom.lhs.coeffs:
+        diff[ids[v]] = c
+    for v, c in atom.rhs.coeffs:
+        diff[ids[v]] = diff.get(ids[v], 0) - c
+    k = atom.rhs.const - atom.lhs.const  # the literal compares diff . vars with k
+    flipped = {v: -c for v, c in diff.items()}
+    op = atom.op if value else _NEGATED[atom.op]
+    if op == "!=":
+        lt, gt = _lin(diff, k - 1), _lin(flipped, -k - 1)
+        if lt is None or gt is None:  # no variables left, and 0 != k
+            return (), None
+        if lt is _FALSE or gt is _FALSE:  # no variables left, and 0 == k
+            return (_FALSE,), None
+        return (), (tuple(sorted((v, c) for v, c in diff.items() if c)), k, lt, gt)
+    parts = {
+        "==": (_lin(diff, k), _lin(flipped, -k)),
+        "<": (_lin(diff, k - 1),),
+        "<=": (_lin(diff, k),),
+        ">": (_lin(flipped, -k - 1),),
+        ">=": (_lin(flipped, -k),),
+    }[op]
+    return tuple(p for p in parts if p is not None), None
+
+
 class BuiltinSolver(Solver):
     """Self-contained decision procedure for booleans plus linear integer
     arithmetic.  Results are memoized per instance."""
@@ -272,120 +620,9 @@ class BuiltinSolver(Solver):
     def satisfiable(self, f: Formula) -> SatResult:
         hit = self._memo.get(f)
         if hit is None:
-            hit = self._solve(f)
+            hit = _Query(f).run()
             self._memo[f] = hit
         return hit
-
-    def _solve(self, f: Formula) -> SatResult:
-        f_atoms = atoms(f)
-
-        def eval_partial(g: Formula, asn: dict[Formula, bool]) -> Optional[bool]:
-            if isinstance(g, BoolLit):
-                return g.value
-            if isinstance(g, (BoolRef, Cmp)):
-                return asn.get(g)
-            if isinstance(g, Not):
-                r = eval_partial(g.arg, asn)
-                return None if r is None else not r
-            if isinstance(g, And):
-                out: Optional[bool] = True
-                for a in g.args:
-                    r = eval_partial(a, asn)
-                    if r is False:
-                        return False
-                    if r is None:
-                        out = None
-                return out
-            if isinstance(g, Or):
-                out = False
-                for a in g.args:
-                    r = eval_partial(a, asn)
-                    if r is True:
-                        return True
-                    if r is None:
-                        out = None
-                return out
-            assert isinstance(g, Implies)
-            l = eval_partial(g.lhs, asn)
-            r = eval_partial(g.rhs, asn)
-            if l is False or r is True:
-                return True
-            if l is True and r is False:
-                return False
-            return None
-
-        def theory_check(asn: dict[Formula, bool]) -> tuple[str, Optional[Model]]:
-            base: list[tuple[dict[Var, int], int]] = []
-            splits: list[list[list[tuple[dict[Var, int], int]]]] = []
-            for atom, val in asn.items():
-                if not isinstance(atom, Cmp):
-                    continue
-                alts = _atom_constraints(atom, val)
-                if len(alts) == 1:
-                    base.extend(alts[0])
-                else:
-                    splits.append(alts)
-
-            def run(cons: list[tuple[dict[Var, int], int]], idx: int) -> tuple[str, Optional[dict[Var, int]]]:
-                if idx == len(splits):
-                    lin: list[Lin] = [
-                        (tuple(sorted((v, c) for v, c in coeffs.items() if c != 0)), k)
-                        for coeffs, k in cons
-                    ]
-                    return _search_linear(lin)
-                any_unknown = False
-                for branch in splits[idx]:
-                    st, m = run(cons + branch, idx + 1)
-                    if st == "sat":
-                        return st, m
-                    if st == "unknown":
-                        any_unknown = True
-                return ("unknown", None) if any_unknown else ("unsat", None)
-
-            st, intmodel = run(base, 0)
-            if st in ("unknown", "unsat"):
-                return st, None
-            model: Model = {}
-            for atom, val in asn.items():
-                if isinstance(atom, BoolRef):
-                    model[atom.var] = val
-            assert intmodel is not None
-            ints = {v for a in asn if isinstance(a, Cmp) for v in atom_vars(a)}
-            for v in sorted(ints):
-                model[v] = intmodel.get(v, 0)
-            return "sat", model
-
-        def dpll(asn: dict[Formula, bool]) -> tuple[str, Optional[Model]]:
-            val = eval_partial(f, asn)
-            if val is False:
-                return "unsat", None
-            if val is True:
-                return theory_check(asn)
-            for atom in f_atoms:
-                if atom not in asn:
-                    branch_unknown = False
-                    for choice_ in (True, False):
-                        asn[atom] = choice_
-                        st, m = dpll(asn)
-                        del asn[atom]
-                        if st == "sat":
-                            return st, m
-                        if st == "unknown":
-                            branch_unknown = True
-                    return ("unknown", None) if branch_unknown else ("unsat", None)
-            return "unsat", None  # unreachable: no unassigned atom but undetermined
-
-        status, model = dpll({})
-        if status == "sat":
-            assert model is not None
-            bools = {a.var for a in f_atoms if isinstance(a, BoolRef)}
-            for v in sorted(free_vars(f)):
-                if v not in model:
-                    model[v] = False if v in bools else 0
-            return SatResult("sat", model)
-        if status == "unsat":
-            return SatResult("unsat")
-        return SatResult("unknown", diagnostic="incomplete arithmetic search")
 
 
 # ---------------------------------------------------------------------------

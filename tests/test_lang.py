@@ -271,11 +271,11 @@ PARSE_ERRORS = [
     ('events a, b;\nproc q() { if (y == 0) { } }', UndeclaredVariable, "2:16: variable 'y' not declared"),
     ('events a, b;\nproc q() { if () { } }', ParseError, "2:16: expected an expression, found ')'"),
     ('events a, b;\nint x;\nproc q() { if (x && true) { } }', TypeMismatch, '3:18: expected a boolean operand'),
-    ('events a, b;\nint x;\nproc q() { if (true && x) { } }', TypeMismatch, '3:25: expected a boolean operand'),
-    ('events a, b;\nint x;\nproc q() { if (true && true && x) { } }', TypeMismatch, '3:33: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true && x) { } }', TypeMismatch, '3:21: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true && true && x) { } }', TypeMismatch, '3:29: expected a boolean operand'),
     ('events a, b;\nint x;\nproc q() { if (x || true) { } }', TypeMismatch, '3:18: expected a boolean operand'),
-    ('events a, b;\nint x;\nproc q() { if (true || x) { } }', TypeMismatch, '3:25: expected a boolean operand'),
-    ('events a, b;\nint x;\nproc q() { if (true || true && x) { } }', TypeMismatch, '3:33: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true || x) { } }', TypeMismatch, '3:21: expected a boolean operand'),
+    ('events a, b;\nint x;\nproc q() { if (true || true && x) { } }', TypeMismatch, '3:29: expected a boolean operand'),
     ('events a, b;\nint x;\nproc q() { if (x ==> true) { } }', TypeMismatch, '3:18: expected a boolean operand'),
     ('events a, b;\nint x;\nproc q() { if (true ==> x) { } }', TypeMismatch, '3:21: expected a boolean operand'),
     ('events a, b;\nint x;\nproc q() { if (!x) { } }', TypeMismatch, '3:16: expected a boolean operand'),
