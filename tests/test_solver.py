@@ -1,11 +1,14 @@
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from retrace import solver as solver_module
+from retrace.corpus import CORPUS, MUTANTS, load_corpus
 from retrace.formula import (
     FALSE,
     TRUE,
@@ -24,6 +27,7 @@ from retrace.formula import (
     tvar,
 )
 from retrace.solver import BuiltinSolver, SmtLibSolver, make_solver, to_smtlib
+from retrace.verifier import Verifier
 from helpers import ReferenceSolver, random_formula, with_domain_bounds, brute_force_sat
 
 b = BoolRef(Var("b"))
@@ -236,6 +240,47 @@ def test_agrees_with_reference_solver(f):
         assert want.status == "unknown"
     if got.status == "sat":
         assert _satisfied_by(f, got.model)
+
+
+SOLVER_GOLDEN = Path(__file__).parent / "golden" / "solver_answers.jsonl"
+
+
+class _Recording(BuiltinSolver):
+    def __init__(self, answers):
+        super().__init__()
+        self.answers = answers
+
+    def satisfiable(self, f):
+        r = self.answers[f] = super().satisfiable(f)
+        return r
+
+
+def corpus_answers() -> str:
+    """One JSON line per distinct query that verifying the 5 corpus
+    programs and 10 mutants sends to the solver, in first-asked order: the
+    query's rendering, status and model, sorted by variable."""
+    answers: dict = {}
+    for name in sorted({**CORPUS, **MUTANTS}):
+        Verifier(load_corpus(name), _Recording(answers)).verify_program()
+    lines = []
+    for f, r in answers.items():
+        model = None if r.model is None else [[str(v), x] for v, x in sorted(r.model.items())]
+        lines.append(json.dumps({"query": str(f), "status": r.status, "model": model}, ensure_ascii=False))
+    return "\n".join(lines) + "\n"
+
+
+def test_corpus_answers_match_golden():
+    """Every corpus query keeps its status and its whole model.  Regenerate
+    the golden (from the repository root) with:
+
+        PYTHONPATH=src:tests python -c "import test_solver as t; t.SOLVER_GOLDEN.write_text(t.corpus_answers(), encoding='utf-8')"
+    """
+    want = SOLVER_GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = corpus_answers().splitlines()
+    changed = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not changed, (
+        f"{len(got)} answers against {len(want)} in the golden; first change: {changed[:1]}"
+    )
 
 
 # -- SMT-LIB backend ----------------------------------------------------------
