@@ -3,18 +3,20 @@
 Two backends share one interface.  Both are sound: a definite sat/unsat
 answer is never wrong, and anything undecided is reported as unknown.
 
-The built-in backend is a small DPLL(T) search.  The top-level conjunction
-of a formula becomes clauses: disjunctions of literals, which unit
-propagation works on, and any other conjunct, which is evaluated three-valued
-once its atoms are assigned.  Atoms are decided in order of first
-occurrence, true first.  After each propagation, Fourier-Motzkin
+The built-in backend is a small DPLL(T) search.  A formula is compiled
+once into negation normal form over its atoms, and each conjunct becomes a
+clause: the parts of one disjunction, each a literal or an and/or of parts,
+evaluated three-valued under the partial assignment.  Unit propagation
+assigns a clause's one open part when that part is a literal.  Atoms are
+decided in order of first occurrence, true first.  After each propagation, Fourier-Motzkin
 elimination with gcd tightening runs on the comparisons assigned so far,
 leaving disequalities out, so a conflict between them cuts the branch at
 once.  At a leaf the integer part is solved without its disequalities, by
 Fourier-Motzkin refutation and a search over the projected intervals; only
 a disequality that the model found violates is split into its two sides.
-Every query has a step budget (DPLL decisions plus Fourier-Motzkin
-combinations), and running out of it gives unknown.
+Every query has a step budget (DPLL decisions, Fourier-Motzkin
+combinations and the values the model search tries), and running out of it
+gives unknown.
 
 The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 """
@@ -47,10 +49,6 @@ from .formula import (
 Model = dict[Var, object]
 
 
-class SolverCrash(Exception):
-    """External solver subprocess failed; surfaced to callers as unknown."""
-
-
 @dataclass(frozen=True)
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
@@ -66,9 +64,19 @@ class EntailResult:
 
 
 class Solver:
-    """Interface shared by the built-in and external backends."""
+    """Interface shared by the built-in and external backends.  Results are
+    memoized per instance, and the memo never evicts."""
+
+    def __init__(self) -> None:
+        self._memo: dict[Formula, SatResult] = {}
 
     def satisfiable(self, f: Formula) -> SatResult:
+        hit = self._memo.get(f)
+        if hit is None:
+            hit = self._memo[f] = self._decide(f)
+        return hit
+
+    def _decide(self, f: Formula) -> SatResult:
         raise NotImplementedError
 
     def entails(self, p: Formula, q: Formula) -> EntailResult:
@@ -96,8 +104,9 @@ _FALSE: Lin = ((), -1)  # the contradiction 0 <= -1
 
 _WIDE_INTERVAL = 4096
 _UNBOUNDED_WINDOW = 33
-# Steps one query may take, counting DPLL decisions and Fourier-Motzkin
-# combinations; a query that runs out is unknown.
+# Steps one query may take, counting DPLL decisions, Fourier-Motzkin
+# combinations and the values the model search tries; a query that runs
+# out is unknown.
 _STEP_BUDGET = 100_000
 
 
@@ -254,6 +263,7 @@ def _search_linear(cons: Cons, steps: _Steps) -> tuple[str, Optional[dict[int, i
             incomplete = True
             candidates = range(-_UNBOUNDED_WINDOW // 2, _UNBOUNDED_WINDOW // 2 + 1)
         for val in candidates:
+            steps.spend(1)
             model[x] = val
             got = assign(i - 1, model)
             if got is not None:
@@ -277,24 +287,17 @@ _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">"}
 
 
 def _kleene(t: object, val: list[Optional[bool]]) -> Optional[bool]:
-    """Three-valued evaluation of a compiled clause (see `_Query._tree`)
-    under a partial assignment of the atoms."""
+    """Three-valued evaluation of an NNF node (see `_Query._nnf`) under a
+    partial assignment of the atoms."""
     if type(t) is int:
-        return val[t]
-    if type(t) is bool:
-        return t
+        if t >= 0:
+            return val[t]
+        v = val[~t]
+        return None if v is None else not v
     assert isinstance(t, tuple)
-    if t[0] == "!":
-        r = _kleene(t[1], val)
-        return None if r is None else not r
-    if t[0] == "=>":
-        lhs, rhs = _kleene(t[1], val), _kleene(t[2], val)
-        if lhs is False or rhs is True:
-            return True
-        return False if lhs is True and rhs is False else None
-    decisive = t[0] == "|"  # the value of one argument that settles it
+    decisive, parts = t
     out: Optional[bool] = not decisive
-    for a in t[1]:
+    for a in parts:
         r = _kleene(a, val)
         if r is decisive:
             return decisive
@@ -303,11 +306,26 @@ def _kleene(t: object, val: list[Optional[bool]]) -> Optional[bool]:
     return out
 
 
+def _parts(t: object, decisive: bool) -> tuple:
+    """The parts of NNF node `t` read as a node (decisive, parts): a bool
+    that cannot settle it has none."""
+    if type(t) is tuple and t[0] is decisive:
+        return t[1]
+    return () if t is (not decisive) else (t,)
+
+
+def _mentioned(t: object, out: set[int]) -> None:
+    if type(t) is int:
+        out.add(t if t >= 0 else ~t)
+    else:
+        for a in t[1]:  # type: ignore[index]
+            _mentioned(a, out)
+
+
 class _Query:
     """One satisfiability query: DPLL with unit propagation over the clauses
-    of the formula's top-level conjunction, Fourier-Motzkin refutation of
-    the comparisons assigned so far, and lazy disequality splits at the
-    leaves.
+    of the formula's negation normal form, Fourier-Motzkin refutation of the
+    comparisons assigned so far, and lazy disequality splits at the leaves.
 
     Atoms are decided in order of first occurrence, true first, and a leaf
     is a prefix of that order under which the formula is true, so the
@@ -319,14 +337,13 @@ class _Query:
         self.steps = _Steps()
         self.atoms: list[Formula] = []
         self.index: dict[Formula, int] = {}
-        # each clause is a disjunction of literals (atom, polarity) or, when
-        # it is not one, a compiled formula with lits None
-        self.lits: list[Optional[tuple[tuple[int, bool], ...]]] = []
-        self.trees: list[object] = []
-        occ: list[set[int]] = []
-        self._conjuncts(f, True, occ)
+        # the formula's conjuncts, each as the parts of a disjunction
+        self.clauses = [_parts(c, True) for c in _parts(self._nnf(f, True), False)]
         self.occ: list[list[int]] = [[] for _ in self.atoms]
-        for c, mentioned in enumerate(occ):
+        for c, parts in enumerate(self.clauses):
+            mentioned: set[int] = set()
+            for p in parts:
+                _mentioned(p, mentioned)
             for i in mentioned:
                 self.occ[i].append(c)
         self.ints = sorted({v for a in self.atoms if isinstance(a, Cmp) for v in atom_vars(a)})
@@ -337,10 +354,8 @@ class _Query:
         ]
         self.val: list[Optional[bool]] = [None] * len(self.atoms)
         self.trail: list[int] = []
-        self.sat = [False] * len(self.lits)
+        self.sat = [False] * len(self.clauses)
         self.sat_trail: list[int] = []
-
-    # -- clauses ------------------------------------------------------------
 
     def _atom(self, a: Formula) -> int:
         i = self.index.get(a)
@@ -349,117 +364,68 @@ class _Query:
             self.atoms.append(a)
         return i
 
-    def _conjuncts(self, g: Formula, pos: bool, occ: list[set[int]]) -> None:
-        """Add the clauses of `g` (negated unless `pos`), one per conjunct."""
+    def _nnf(self, g: Formula, pos: bool) -> object:
+        """`g`, negated unless `pos`, in negation normal form over atom
+        indices: a literal `i` or `~i`, a bool, or a node (v, parts) that is
+        an or when v is True and an and when v is False (v is the value of a
+        part that settles the node).  No part is a bool or a node of its own
+        kind.  Every atom of `g` is indexed, even where a constant absorbs it."""
         if isinstance(g, (BoolRef, Cmp)):
             i = self._atom(g)
-            self.lits.append(((i, pos),))
-            self.trees.append(None)
-            occ.append({i})
-        elif isinstance(g, Not):
-            self._conjuncts(g.arg, not pos, occ)
-        elif isinstance(g, And if pos else Or):
-            for a in g.args:
-                self._conjuncts(a, pos, occ)
-        elif isinstance(g, Implies) and not pos:
-            self._conjuncts(g.lhs, True, occ)
-            self._conjuncts(g.rhs, False, occ)
-        elif isinstance(g, BoolLit):
-            if g.value != pos:
-                self.lits.append(())
-                self.trees.append(None)
-                occ.append(set())
-        else:
-            lits: list[tuple[int, bool]] = []
-            mentioned: set[int] = set()
-            if self._literals(g, pos, lits):
-                self.lits.append(tuple(dict.fromkeys(lits)))
-                self.trees.append(None)
-                mentioned.update(i for i, _ in lits)
-            else:
-                tree = self._tree(g, mentioned)
-                self.lits.append(None)
-                self.trees.append(tree if pos else ("!", tree))
-            occ.append(mentioned)
-
-    def _literals(self, g: Formula, pos: bool, out: list[tuple[int, bool]]) -> bool:
-        """Append the literals of `g` as a disjunction; False if it is not one."""
-        if isinstance(g, (BoolRef, Cmp)):
-            out.append((self._atom(g), pos))
-            return True
-        if isinstance(g, Not):
-            return self._literals(g.arg, not pos, out)
-        if isinstance(g, Or if pos else And):
-            return all(self._literals(a, pos, out) for a in g.args)
-        if isinstance(g, Implies) and pos:
-            return self._literals(g.lhs, False, out) and self._literals(g.rhs, True, out)
-        return False
-
-    def _tree(self, g: Formula, mentioned: set[int]) -> object:
-        """`g` with its atoms as indices: an int, a bool, ("!", t),
-        ("&", ts), ("|", ts) or ("=>", t, u)."""
-        if isinstance(g, (BoolRef, Cmp)):
-            i = self._atom(g)
-            mentioned.add(i)
-            return i
+            return i if pos else ~i
         if isinstance(g, BoolLit):
-            return g.value
+            return g.value == pos
         if isinstance(g, Not):
-            return ("!", self._tree(g.arg, mentioned))
-        if isinstance(g, (And, Or)):
-            return ("&" if isinstance(g, And) else "|", tuple(self._tree(a, mentioned) for a in g.args))
-        assert isinstance(g, Implies)
-        return ("=>", self._tree(g.lhs, mentioned), self._tree(g.rhs, mentioned))
+            return self._nnf(g.arg, not pos)
+        if isinstance(g, Implies):
+            decisive = pos
+            compiled = (self._nnf(g.lhs, not pos), self._nnf(g.rhs, pos))
+        else:
+            assert isinstance(g, (And, Or))
+            decisive = isinstance(g, Or) == pos
+            compiled = tuple(self._nnf(a, pos) for a in g.args)
+        parts: dict[object, None] = {}
+        for p in compiled:
+            if p is decisive:
+                return p
+            parts.update(dict.fromkeys(_parts(p, decisive)))
+        if len(parts) == 1:
+            return next(iter(parts))
+        return (decisive, tuple(parts)) if parts else not decisive
 
     # -- search -------------------------------------------------------------
 
     def run(self) -> SatResult:
         try:
-            status, model = self._root()
+            if not all(self.sat[c] or self._settle(c) for c in range(len(self.clauses))):
+                return SatResult("unsat")
+            if not self._propagate(0):
+                return SatResult("unsat")
+            status, model = self._search(0, 0)
         except _OutOfSteps:
             return SatResult("unknown", diagnostic=f"step budget of {_STEP_BUDGET} exhausted")
-        if status == "sat":
-            assert model is not None
-            bools = {a.var for a in self.atoms if isinstance(a, BoolRef)}
-            for v in sorted(bools.union(self.ints)):
-                if v not in model:
-                    model[v] = False if v in bools else 0
-            return SatResult("sat", model)
-        if status == "unsat":
-            return SatResult("unsat")
-        return SatResult("unknown", diagnostic="incomplete arithmetic search")
-
-    def _root(self) -> tuple[str, Optional[Model]]:
-        if not all(self.sat[c] or self._settle(c) for c in range(len(self.lits))):
-            return "unsat", None
-        if not self._propagate(0):
-            return "unsat", None
-        return self._search(0, 0)
+        if status == "unknown":
+            return SatResult("unknown", diagnostic="incomplete arithmetic search")
+        return SatResult(status, model)
 
     def _settle(self, c: int) -> bool:
-        """Mark clause c satisfied if it is, or assign its one open literal;
-        False on a conflict."""
-        lits = self.lits[c]
-        if lits is None:
-            r = _kleene(self.trees[c], self.val)
+        """Mark clause c satisfied if it is, or assign its one open part
+        when that part is a literal; False on a conflict."""
+        val = self.val
+        free = 0
+        for p in self.clauses[c]:
+            r = _kleene(p, val)
             if r is None:
-                return True
-            if not r:
-                return False
+                free += 1
+                unit = p
+            elif r:
+                break
         else:
-            free = 0
-            for i, pos in lits:
-                v = self.val[i]
-                if v is None:
-                    free += 1
-                    unit = i, pos
-                elif v is pos:
-                    break
-            else:
-                if free != 1:
-                    return free > 1
-                self.val[unit[0]] = unit[1]
-                self.trail.append(unit[0])
+            if free != 1 or type(unit) is not int:
+                return free > 0
+            i = unit if unit >= 0 else ~unit
+            val[i] = unit >= 0
+            self.trail.append(i)
         self.sat[c] = True
         self.sat_trail.append(c)
         return True
@@ -481,7 +447,7 @@ class _Query:
         val = self.val
         while nxt < len(val) and val[nxt] is not None:
             nxt += 1
-        if len(self.sat_trail) == len(self.lits) and nxt == len(self.trail):
+        if len(self.sat_trail) == len(self.clauses) and nxt == len(self.trail):
             return self._leaf()
         if self._refuted(checked):
             return "unsat", None
@@ -518,43 +484,39 @@ class _Query:
             th = by_value[value] = _theory_of(self.atoms[i], value, self.ids)  # type: ignore[arg-type]
         return th
 
-    def _refuted(self, checked: int) -> bool:
-        """Fourier-Motzkin refutes the comparisons assigned so far, leaving
-        disequalities out; only tried when one was assigned after `checked`."""
-        if not any((th := self._theory(i)) and th[0] for i in self.trail[checked:]):
-            return False
-        cons: Cons = {}
-        for i in self.trail:
-            th = self._theory(i)
-            if th is not None:
-                for lin in th[0]:
-                    _tighten(cons, lin)
-        return _project(cons, self.steps) is None
-
-    def _leaf(self) -> tuple[str, Optional[Model]]:
-        """The theory check of a leaf, whose assigned atoms are a prefix."""
+    def _constraints(self, assigned: Iterable[int]) -> tuple[Cons, list[_Diseq]]:
+        """What the literals of the `assigned` atoms ask of the integers."""
         cons: Cons = {}
         diseqs: list[_Diseq] = []
-        ints: set[int] = set()
-        model: Model = {}
-        for i, a in enumerate(self.atoms[: len(self.trail)]):
+        for i in assigned:
             th = self._theory(i)
             if th is None:
-                assert isinstance(a, BoolRef)
-                model[a.var] = self.val[i]
                 continue
             lins, diseq = th
             for lin in lins:
                 _tighten(cons, lin)
             if diseq is not None:
                 diseqs.append(diseq)
-            ints.update(self.ids[v] for v in atom_vars(a))
-        status, intmodel = self._split(cons, diseqs)
+        return cons, diseqs
+
+    def _refuted(self, checked: int) -> bool:
+        """Fourier-Motzkin refutes the comparisons assigned so far, leaving
+        disequalities out; only tried when one was assigned after `checked`."""
+        if not any((th := self._theory(i)) and th[0] for i in self.trail[checked:]):
+            return False
+        return _project(self._constraints(self.trail)[0], self.steps) is None
+
+    def _leaf(self) -> tuple[str, Optional[Model]]:
+        """The theory check of a leaf, whose assigned atoms are a prefix,
+        and its model of every variable of the query: a boolean past the
+        prefix is false, and an integer no assigned comparison constrains
+        is 0."""
+        status, intmodel = self._split(*self._constraints(range(len(self.trail))))
         if status != "sat":
             return status, None
         assert intmodel is not None
-        for v in sorted(ints):
-            model[self.ints[v]] = intmodel.get(v, 0)
+        model: Model = {a.var: self.val[i] is True for i, a in enumerate(self.atoms) if isinstance(a, BoolRef)}
+        model.update((v, intmodel.get(n, 0)) for n, v in enumerate(self.ints))
         return "sat", model
 
     def _split(self, cons: Cons, diseqs: list[_Diseq]) -> tuple[str, Optional[dict[int, int]]]:
@@ -612,17 +574,10 @@ def _theory_of(atom: Cmp, value: bool, ids: dict[Var, int]) -> _Theory:
 
 class BuiltinSolver(Solver):
     """Self-contained decision procedure for booleans plus linear integer
-    arithmetic.  Results are memoized per instance."""
+    arithmetic."""
 
-    def __init__(self) -> None:
-        self._memo: dict[Formula, SatResult] = {}
-
-    def satisfiable(self, f: Formula) -> SatResult:
-        hit = self._memo.get(f)
-        if hit is None:
-            hit = _Query(f).run()
-            self._memo[f] = hit
-        return hit
+    def _decide(self, f: Formula) -> SatResult:
+        return _Query(f).run()
 
 
 # ---------------------------------------------------------------------------
@@ -690,23 +645,13 @@ class SmtLibSolver(Solver):
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
+        super().__init__()
         self.command = shlex.split(command)
         if not self.command:
             raise ValueError("empty solver command")
         self.timeout = timeout
-        self._memo: dict[Formula, SatResult] = {}
 
-    def satisfiable(self, f: Formula) -> SatResult:
-        hit = self._memo.get(f)
-        if hit is None:
-            try:
-                hit = self._run(f)
-            except SolverCrash as exc:
-                hit = SatResult("unknown", diagnostic=str(exc))
-            self._memo[f] = hit
-        return hit
-
-    def _run(self, f: Formula) -> SatResult:
+    def _decide(self, f: Formula) -> SatResult:
         script = to_smtlib(f)
         try:
             proc = subprocess.run(
@@ -717,10 +662,10 @@ class SmtLibSolver(Solver):
                 timeout=self.timeout,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
-            raise SolverCrash(f"solver crash: {exc}") from exc
+            return SatResult("unknown", diagnostic=f"solver crash: {exc}")
         if proc.returncode != 0 and not proc.stdout.strip():
-            raise SolverCrash(
-                f"solver crash: exit {proc.returncode}: {proc.stderr.strip()[:200]}"
+            return SatResult(
+                "unknown", diagnostic=f"solver crash: exit {proc.returncode}: {proc.stderr.strip()[:200]}"
             )
         for line in proc.stdout.splitlines():
             tok = line.strip().split()

@@ -22,7 +22,6 @@ from .formula import (
     disj,
     evaluate,
     neg,
-    prime,
     substitute,
 )
 from .solver import Solver
@@ -45,12 +44,6 @@ class TraceSpec:
         if not self.options:
             return "<no trace>"
         return " | ".join(str(o) for o in self.options)
-
-    def __iter__(self):
-        return iter(self.options)
-
-    def __len__(self) -> int:
-        return len(self.options)
 
 
 def spec_of(*options: tuple[rx.Regex, Formula]) -> TraceSpec:
@@ -81,13 +74,6 @@ def subst_spec(spec: TraceSpec, sub: Substitution) -> TraceSpec:
     """Apply a substitution to every guard (regexes are state-independent)."""
     return TraceSpec(
         tuple(TraceOption(o.regex, substitute(o.guard, sub)) for o in spec.options)
-    )
-
-
-def prime_spec(spec: TraceSpec) -> TraceSpec:
-    """Prime all guard variables, giving the post-state reading."""
-    return TraceSpec(
-        tuple(TraceOption(o.regex, prime(o.guard)) for o in spec.options)
     )
 
 

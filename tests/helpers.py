@@ -281,11 +281,13 @@ def with_domain_bounds(f: Formula, names: list[str], lo: int = -8, hi: int = 8) 
 
 
 _grid_cache: dict = {}
+_COMPARE = {"==": "equal", "!=": "not_equal", "<": "less", "<=": "less_equal"}
 
 
 def brute_force_sat(f: Formula, names: list[str], lo: int = -8, hi: int = 8):
     """Exhaustive satisfiability over the integer box, vectorized with
-    numpy; returns True/False."""
+    numpy on int32 grids; returns True/False.  Each distinct comparison is
+    computed once per formula, as `lhs - rhs` compared with 0."""
     import numpy as np
 
     if not names:
@@ -295,29 +297,26 @@ def brute_force_sat(f: Formula, names: list[str], lo: int = -8, hi: int = 8):
     key = (tuple(names), lo, hi)
     env = _grid_cache.get(key)
     if env is None:
-        grids = np.meshgrid(*[np.arange(lo, hi + 1)] * len(names), indexing="ij")
+        grids = np.meshgrid(*[np.arange(lo, hi + 1, dtype=np.int32)] * len(names), indexing="ij")
         env = {Var(n): g.ravel() for n, g in zip(names, grids)}
         _grid_cache[key] = env
+    shape = env[Var(names[0])].shape
+    cmps: dict[Formula, object] = {}
 
     from retrace.formula import And, BoolLit, BoolRef, Cmp, Implies, Not, Or
 
     def ev(g: Formula):
         if isinstance(g, BoolLit):
-            return np.full(env[Var(names[0])].shape, g.value, dtype=bool)
+            return np.full(shape, g.value, dtype=bool)
         if isinstance(g, Cmp):
-            lhs = np.full(env[Var(names[0])].shape, g.lhs.const, dtype=np.int64)
-            for v, c in g.lhs.coeffs:
-                lhs = lhs + c * env[v]
-            rhs = np.full(env[Var(names[0])].shape, g.rhs.const, dtype=np.int64)
-            for v, c in g.rhs.coeffs:
-                rhs = rhs + c * env[v]
-            if g.op == "==":
-                return lhs == rhs
-            if g.op == "!=":
-                return lhs != rhs
-            if g.op == "<":
-                return lhs < rhs
-            return lhs <= rhs
+            got = cmps.get(g)
+            if got is None:
+                d = g.lhs - g.rhs
+                diff = np.full(shape, d.const, dtype=np.int32)
+                for v, c in d.coeffs:
+                    diff += c * env[v]
+                got = cmps[g] = getattr(np, _COMPARE[g.op])(diff, 0)
+            return got
         if isinstance(g, Not):
             return ~ev(g.arg)
         if isinstance(g, And):
@@ -341,8 +340,9 @@ def brute_force_sat(f: Formula, names: list[str], lo: int = -8, hi: int = 8):
 
 # -- reference solver --------------------------------------------------------
 #
-# Kept verbatim apart from the class name and this comment; its helpers use
-# the module's own namespace, so `retrace.solver` can change freely.
+# Kept verbatim apart from the class name, the memo it now inherits from
+# `Solver`, and this comment; its helpers use the module's own namespace, so
+# `retrace.solver` can change freely.
 
 # A linear constraint `coeffs . vars <= bound` over the integers.
 Lin = tuple[tuple[tuple[Var, int], ...], int]
@@ -540,17 +540,7 @@ class ReferenceSolver(Solver):
     The reference for `BuiltinSolver`'s verdicts; exponential in the
     disequalities, so it only suits small formulas."""
 
-    def __init__(self) -> None:
-        self._memo: dict[Formula, SatResult] = {}
-
-    def satisfiable(self, f: Formula) -> SatResult:
-        hit = self._memo.get(f)
-        if hit is None:
-            hit = self._solve(f)
-            self._memo[f] = hit
-        return hit
-
-    def _solve(self, f: Formula) -> SatResult:
+    def _decide(self, f: Formula) -> SatResult:
         f_atoms = atoms(f)
 
         def eval_partial(g: Formula, asn: dict[Formula, bool]) -> Optional[bool]:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from retrace.cli import main
 from retrace.corpus import path
@@ -154,10 +156,14 @@ def test_crashing_external_solver_is_conservative(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the package is importable from a plain checkout too, as it is in-process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "retrace.cli", str(path("even_odd"))],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "verified" in proc.stdout

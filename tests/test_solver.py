@@ -197,6 +197,32 @@ def test_step_budget_gives_unknown_never_unsat(monkeypatch):
         assert "step budget" in r.diagnostic
 
 
+def test_step_budget_covers_the_model_search(monkeypatch):
+    # real solutions but no integer one: the model search tries every value
+    # of z2 and z1 in [0, 4000] before it can give up on a and b
+    calls = [0]
+    inner = solver_module._bounds_for
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= 200_000, "the model search ran past the step budget"
+        return inner(*args)
+
+    monkeypatch.setattr(solver_module, "_bounds_for", counted)
+    a, b = tvar("a"), tvar("b")
+    f = conj(
+        cmp("<=", tconst(27), a.scaled(11) + b.scaled(13)),
+        cmp("<=", a.scaled(11) + b.scaled(13), tconst(45)),
+        cmp("<=", tconst(-10), a.scaled(7) + b.scaled(-9)),
+        cmp("<=", a.scaled(7) + b.scaled(-9), tconst(4)),
+        *(cmp("<=", tconst(0), tvar(z)) for z in ("z1", "z2")),
+        *(cmp("<=", tvar(z), tconst(4000)) for z in ("z1", "z2")),
+    )
+    r = BuiltinSolver().satisfiable(f)
+    assert r.status == "unknown"
+    assert "step budget" in r.diagnostic
+
+
 _INT_NAMES = ("x", "y", "z")
 
 

@@ -25,7 +25,6 @@ from retrace.tracespec import (
     eval_at,
     inclusion_obligations,
     plain,
-    prime_spec,
     spec_of,
 )
 from helpers import enum_subset, random_regex
@@ -37,6 +36,8 @@ bp = BoolRef(Var("b", True))
 
 # the alternation invariant: (even odd)* if !b | (even odd)* even if b
 invariant = spec_of((ee_star, neg(b)), (rx.concat(ee_star, even), b))
+# the same invariant read in the post-state
+invariant_post = spec_of((ee_star, neg(bp)), (rx.concat(ee_star, even), bp))
 
 
 @pytest.fixture()
@@ -109,7 +110,7 @@ def test_loop_body_obligations_split_into_two_cases(solver):
         (rx.concat(ee_star, even, odd), b),
     )
     cases = inclusion_obligations(
-        _toggle_rel(), extended, rx.EPSILON, complete(prime_spec(invariant)), solver
+        _toggle_rel(), extended, rx.EPSILON, complete(invariant_post), solver
     )
     assert len(cases) == 2
     assert all(c.holds for c in cases)
@@ -130,17 +131,18 @@ def test_unsatisfiable_context_vacuous(solver):
 def test_matcher_step_single_case(solver):
     letter, at = rx.symbol("letter"), rx.symbol("at")
     state, statep = tvar("state"), tvar("state", True)
+    # the invariant read in the post-state
     matcher_inv = spec_of(
-        (rx.EPSILON, cmp("==", state, tconst(0))),
-        (rx.plus(letter), cmp("==", state, tconst(1))),
-        (rx.concat(rx.plus(letter), at), cmp("==", state, tconst(2))),
+        (rx.EPSILON, cmp("==", statep, tconst(0))),
+        (rx.plus(letter), cmp("==", statep, tconst(1))),
+        (rx.concat(rx.plus(letter), at), cmp("==", statep, tconst(2))),
     )
     context = conj(cmp("==", state, tconst(1)), cmp("==", statep, tconst(2)))
     cases = inclusion_obligations(
         context,
         spec_of((rx.plus(letter), cmp("==", state, tconst(1)))),
         at,
-        complete(prime_spec(matcher_inv)),
+        complete(matcher_inv),
         solver,
     )
     assert len(cases) == 1
@@ -179,17 +181,16 @@ def test_obligation_soundness_over_small_state_space(seed, solver):
     rng = random.Random(seed)
     alphabet = ("x", "y")
 
-    def rand_spec(n):
+    def rand_spec(n, v):
         return spec_of(
             *(
-                (random_regex(rng, 5, alphabet), rng.choice([b, neg(b), TRUE]))
+                (random_regex(rng, 5, alphabet), rng.choice([v, neg(v), TRUE]))
                 for _ in range(n)
             )
         )
 
-    left = rand_spec(rng.randint(1, 2))
-    right0 = rand_spec(rng.randint(1, 2))
-    right = complete(prime_spec(right0))
+    left = rand_spec(rng.randint(1, 2), b)
+    right = complete(rand_spec(rng.randint(1, 2), bp))
     emitted = random_regex(rng, 3, alphabet)
     context = rng.choice([TRUE, _toggle_rel(), bp, neg(bp)])
     cases = inclusion_obligations(context, left, emitted, right, solver)
