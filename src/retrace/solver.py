@@ -8,15 +8,15 @@ once into negation normal form over its atoms, and each conjunct becomes a
 clause: the parts of one disjunction, each a literal or an and/or of parts,
 evaluated three-valued under the partial assignment.  Unit propagation
 assigns a clause's one open part when that part is a literal.  Atoms are
-decided in order of first occurrence, true first.  After each propagation, Fourier-Motzkin
-elimination with gcd tightening runs on the comparisons assigned so far,
-leaving disequalities out, so a conflict between them cuts the branch at
-once.  At a leaf the integer part is solved without its disequalities, by
-Fourier-Motzkin refutation and a search over the projected intervals; only
-a disequality that the model found violates is split into its two sides.
-Every query has a step budget (DPLL decisions, Fourier-Motzkin
-combinations and the values the model search tries), and running out of it
-gives unknown.
+decided in order of first occurrence, true first.  After each propagation,
+Fourier-Motzkin elimination with gcd tightening runs on the comparisons
+assigned so far, leaving disequalities out, so a conflict between them cuts
+the branch at once.  At a leaf the integer part is solved without its
+disequalities, by Fourier-Motzkin refutation and a search over the projected
+intervals; only a disequality that the model found violates is split into
+its two sides.  Every query has a step budget (DPLL decisions,
+Fourier-Motzkin combinations and the values the model search tries), and
+running out of it gives unknown.
 
 The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 """
@@ -307,14 +307,16 @@ def _kleene(t: object, val: list[Optional[bool]]) -> Optional[bool]:
 
 
 def _parts(t: object, decisive: bool) -> tuple:
-    """The parts of NNF node `t` read as a node (decisive, parts): a bool
-    that cannot settle it has none."""
+    """The parts of NNF node `t` read as a node (decisive, parts): its own
+    if it is one, none if it is the constant that cannot settle one, and
+    otherwise `t` alone."""
     if type(t) is tuple and t[0] is decisive:
         return t[1]
     return () if t is (not decisive) else (t,)
 
 
 def _mentioned(t: object, out: set[int]) -> None:
+    """Add the atoms of NNF node `t` to `out`."""
     if type(t) is int:
         out.add(t if t >= 0 else ~t)
     else:
