@@ -5,7 +5,11 @@ contract.  Execution states carry a symbolic store, a path constraint, and
 a plain trace prefix, kept as a chain of regex pieces that forked states
 share so that emitting an event costs O(1); conditional trace
 specifications are split into plain cases eagerly, and unsatisfiable
-branches are pruned.  Loops go
+branches are pruned.  At the end of an `if`, branch states that agree on
+every live variable join into one, with the disjunction of what each branch
+added to the path and a choice of their trace tails, when the variables of
+those additions occur neither in the path before the `if` nor in a live
+value: nothing later reads them, so the join is exact.  Loops go
 through one modular rule (havoc, preserve, exit) with two annotation
 modes: a full-history trace invariant that covers the whole prefix at the
 loop head, or a `local` language that covers a single iteration.  Calls go
@@ -21,11 +25,15 @@ from . import regex as rx
 from .formula import (
     FALSE,
     TRUE,
+    And,
+    BoolLit,
     BoolRef,
     Formula,
     Term,
     Var,
     conj,
+    disj,
+    free_vars,
     neg,
     render_formula,
     substitute,
@@ -150,6 +158,28 @@ class VerdictReport:
         }
 
 
+def _symbols(v: SymValue) -> frozenset[Var]:
+    """The variables of a term or a formula."""
+    if isinstance(v, Term):
+        return frozenset(x for x, _ in v.coeffs)
+    return free_vars(v)
+
+
+def _reads(*values: SymValue) -> frozenset[str]:
+    """The program variables, primed or not, that the values mention."""
+    return frozenset(x.name for v in values for x in _symbols(v))
+
+
+def _guards(spec: TraceSpec) -> list[Formula]:
+    return [o.guard for o in spec.options]
+
+
+def _conjuncts(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, BoolLit):
+        return () if f.value else (f,)
+    return f.args if isinstance(f, And) else (f,)
+
+
 # a trace prefix as a persistent snoc chain: None, or (earlier pieces, piece)
 Pieces = Optional[tuple["Pieces", rx.Regex]]
 
@@ -171,9 +201,16 @@ class SymState:
 
     @property
     def prefix(self) -> rx.Regex:
+        return self.since(None)  # type: ignore[return-value]
+
+    def since(self, base: Pieces) -> Optional[rx.Regex]:
+        """The pieces appended after chain node `base`, concatenated; None
+        when `base` is not on this state's chain."""
         pieces: list[rx.Regex] = []
         node = self.pieces
-        while node is not None:
+        while node is not base:
+            if node is None:
+                return None
             node, piece = node
             pieces.append(piece)
         pieces.reverse()
@@ -197,6 +234,9 @@ class Verifier:
         self.p = program
         self.solver = solver if solver is not None else BuiltinSolver()
         self._fresh_count = 0
+        # the variables live after each `If` of the procedure being verified,
+        # by id; an `If` without an entry treats every variable as live
+        self._live_after: dict[int, frozenset[str]] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -335,7 +375,7 @@ class Verifier:
                 st = state.fork()
                 st.path = path2
                 out.extend(self.exec(branch, st, proc, obs, warnings))
-            return out
+            return self.join(c, state, out)
         if isinstance(c, While):
             return self.exec_while(c, state, proc, obs, warnings)
         if isinstance(c, Call):
@@ -443,6 +483,85 @@ class Verifier:
             )
         return out
 
+    # -- joins ----------------------------------------------------------------
+
+    def live_before(self, c: Command, live: frozenset[str]) -> frozenset[str]:
+        """The variables whose values before `c` may be read, by `c` or
+        after it, when `live` are live after it; records the live-out of
+        every `If` in `c`."""
+        if isinstance(c, Seq):
+            for s in reversed(c.stmts):
+                live = self.live_before(s, live)
+            return live
+        if isinstance(c, Assign):
+            return (live - {c.var}) | _reads(c.value)
+        if isinstance(c, Havoc):
+            return live - {c.var}
+        if isinstance(c, If):
+            # a node built once and placed twice gets the union of its sites
+            self._live_after[id(c)] = live | self._live_after.get(id(c), frozenset())
+            return (_reads(c.test) | self.live_before(c.then, live)
+                    | self.live_before(c.orelse, live))
+        if isinstance(c, While):
+            # body-end states only feed the preservation checks
+            own = _reads(c.invariant, c.test, *_guards(c.trace_inv))
+            return live | own | self.live_before(c.body, own)
+        if isinstance(c, (Call, SpecStmt)):
+            stmt = self.p.procedures[c.proc].spec_stmt() if isinstance(c, Call) else c
+            return (live - set(stmt.mods)) | _reads(stmt.guard, stmt.rel, *_guards(stmt.trace))
+        if isinstance(c, Abort):
+            return frozenset()
+        return live
+
+    def join(self, c: If, pre: SymState, out: list[SymState]) -> list[SymState]:
+        """Merge the states of `out`, the branch results of `c` run from
+        `pre`, that agree on every variable live after `c` and whose
+        branches nothing later can tell apart; the others stay as they are,
+        in order."""
+        if len(out) < 2:
+            return out
+        live = self._live_after.get(id(c))
+        names = [n for n in out[0].store if live is None or n in live]
+        groups: dict[tuple[SymValue, ...], list[SymState]] = {}
+        for st in out:
+            groups.setdefault(tuple(st.store[n] for n in names), []).append(st)
+        if len(groups) == len(out):
+            return out
+        pre_syms = free_vars(pre.path)
+        joined: dict[int, Optional[SymState]] = {}
+        for group in groups.values():
+            merged = self._merge(pre, group, names, pre_syms) if len(group) > 1 else None
+            if merged is not None:
+                joined.update((id(st), None) for st in group)
+                joined[id(group[0])] = merged
+        return [m for m in (joined.get(id(st), st) for st in out) if m is not None]
+
+    @staticmethod
+    def _merge(
+        pre: SymState, group: list[SymState], names: list[str],
+        pre_syms: frozenset[Var],
+    ) -> Optional[SymState]:
+        """One state for `group`, with path `pre.path ∧ (δ₁ ∨ … ∨ δₖ)` and
+        prefix `pre`'s followed by a choice of the members' tails, or None
+        when a δ's variables could be read later."""
+        base = _conjuncts(pre.path)
+        deltas: list[Formula] = []
+        for st in group:
+            full = _conjuncts(st.path)
+            if full[:len(base)] != base:
+                return None
+            deltas.append(conj(*full[len(base):]))
+        syms = frozenset().union(*map(free_vars, deltas))
+        if syms & pre_syms or any(syms & _symbols(group[0].store[n]) for n in names):
+            return None
+        branched = TRUE if len(deltas) == 2 and deltas[1] == neg(deltas[0]) else disj(*deltas)
+        store, path = group[0].store, conj(pre.path, branched)
+        tails = [st.since(pre.pieces) for st in group]
+        if all(t is not None for t in tails):
+            return pre.then(store, path, rx.choice(*tails))
+        # a full-history loop in a branch restarted that branch's prefix
+        return SymState(store, path, rx.choice(*(st.prefix for st in group)))
+
     # -- procedure and program level ----------------------------------------
 
     def finalize_path(
@@ -464,6 +583,8 @@ class Verifier:
         if not self.feasible(path0):
             report.warnings.append("precondition is unsatisfiable; contract holds vacuously")
             return report
+        self._live_after = {}
+        self.live_before(proc.body, _reads(proc.ensures, *_guards(proc.trace)))
         start = SymState(dict(entry), path0, rx.EPSILON)
         finals = self.exec(proc.body, start, proc, report.obligations, report.warnings)
         for st in finals:

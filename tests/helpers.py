@@ -4,8 +4,8 @@ implementations and random generators.
 The enumeration oracle computes truncated languages by structural recursion
 over the regex, deliberately avoiding the derivative machinery it is used
 to check.  The references (`reference_included`, `reference_tokenize`,
-`ReferenceSolver`) are earlier, simpler versions of optimized code, kept so
-that property tests can compare the two.
+`ReferenceSolver`, `ReferenceVerifier`) are earlier, simpler versions of
+optimized code, kept so that property tests can compare the two.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from retrace.formula import (
     tconst,
     tvar,
 )
-from retrace.lang import _SYMBOLS, ParseError, Token
+from retrace.lang import _SYMBOLS, If, ParseError, Token
 from retrace.solver import Model, SatResult, Solver
+from retrace.verifier import Verifier
 
 Word = tuple[str, ...]
 Buckets = tuple[frozenset[Word], ...]
@@ -650,3 +651,27 @@ class ReferenceSolver(Solver):
         if status == "unsat":
             return SatResult("unsat")
         return SatResult("unknown", diagnostic="incomplete arithmetic search")
+
+
+# -- reference verifier ------------------------------------------------------
+
+
+class ReferenceVerifier(Verifier):
+    """The verifier as it was before `if` joins: every feasible branch
+    result stays a state of its own, so N sequential ifs give 2^N paths.
+    The reference for the joining `If` rule's verdicts; it only suits small
+    procedures."""
+
+    def exec(self, c, state, proc, obs, warnings):
+        if not isinstance(c, If):
+            return super().exec(c, state, proc, obs, warnings)
+        t = self.ground(c.test, state.store)
+        out = []
+        for cond, branch in ((t, c.then), (neg(t), c.orelse)):
+            path2 = conj(state.path, cond)
+            if not self.feasible(path2):
+                continue
+            st = state.fork()
+            st.path = path2
+            out.extend(self.exec(branch, st, proc, obs, warnings))
+        return out

@@ -1,7 +1,11 @@
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import ReferenceVerifier, enum_member, enum_words
 from retrace import regex as rx
 from retrace.corpus import CORPUS, MUTANTS, load_corpus
 from retrace.formula import (
@@ -25,6 +29,7 @@ from retrace.lang import (
     load,
     resolve,
 )
+from retrace.solver import BuiltinSolver
 from retrace.tracespec import spec_of
 from retrace.verifier import (
     GUARD_CHECK,
@@ -385,3 +390,257 @@ def test_long_straight_line_verifies_without_recursion():
     res = rx.included(failed.lhs_regex, failed.rhs_regex)
     assert sys.getrecursionlimit() == limit
     assert res.witness == mutant
+
+
+# -- joins at if ---------------------------------------------------------------
+
+
+def _ifs(n, seed):
+    """`n` sequential ifs on fresh nondet() values, each arm emitting its own
+    event.  Returns the source whose contract accepts all 2^n words, the
+    source whose contract excludes exactly one of them, and that word."""
+    rng = random.Random(seed)
+    arms = [tuple(rng.sample(("a", "b", "c"), 2)) for _ in range(n)]
+    excluded = tuple(rng.choice(arm) for arm in arms)
+    body = "".join(
+        f"  bool x{i} = nondet();\n  if (x{i}) {{ _(emit {t}) }} else {{ _(emit {e}) }}\n"
+        for i, (t, e) in enumerate(arms)
+    )
+    anyword = [f"({t} | {e})" for t, e in arms]
+    # the words that first differ from `excluded` at position i
+    others = [
+        "(" + " ".join([*excluded[:i], t if excluded[i] == e else e, *anyword[i + 1:]]) + ")"
+        for i, (t, e) in enumerate(arms)
+    ]
+
+    def source(trace):
+        return f"events a, b, c;\nproc p()\n  _(trace {trace})\n{{\n{body}}}\n"
+
+    return source(" ".join(anyword)), source(" | ".join(others)), excluded
+
+
+def _trace_inclusions(rep):
+    return [ob for ob in rep.procedures[0].obligations if ob.kind == TRACE_INCLUSION]
+
+
+@pytest.mark.parametrize("n", [12, 100])
+def test_sequential_ifs_join_into_one_path(n):
+    ok, bad, excluded = _ifs(n, n)
+    rep = verify_program(load(ok))
+    assert rep.verified
+    assert len(_trace_inclusions(rep)) == 1
+    rep = verify_program(load(bad))
+    (only,) = _trace_inclusions(rep)
+    assert [ob for ob in rep.procedures[0].obligations if not ob.holds] == [only]
+    assert only.witness == excluded
+    assert rx.member(only.witness, only.lhs_regex)
+    assert not rx.member(only.witness, only.rhs_regex)
+
+
+class _CountingSolver(BuiltinSolver):
+    def __init__(self):
+        super().__init__()
+        self.queries = 0
+
+    def satisfiable(self, f):
+        self.queries += 1
+        return super().satisfiable(f)
+
+
+def test_sequential_ifs_make_linearly_many_queries():
+    counts = {}
+    for n in (10, 20):
+        solver = _CountingSolver()
+        assert Verifier(load(_ifs(n, n)[0]), solver).verify_program().verified
+        counts[n] = solver.queries
+    assert counts[20] <= 2 * counts[10], counts
+
+
+def test_join_keeps_apart_branches_a_later_test_reads():
+    # merging the first if would give (a | b)(a | b), which `a a | b b` rejects
+    src = (
+        "events a, b;\n"
+        "proc p() _(trace a a | b b) {\n"
+        "  bool x = nondet();\n"
+        "  if (x) { _(emit a) } else { _(emit b) }\n"
+        "  if (x) { _(emit a) } else { _(emit b) }\n"
+        "}\n"
+    )
+    assert verify_program(load(src)).verified
+    rep = verify_program(load(src.replace("a a | b b", "a a")))
+    failed = [ob for ob in rep.procedures[0].obligations if not ob.holds]
+    assert [ob.witness for ob in failed] == [("b", "b")]
+
+
+def test_join_keeps_apart_branches_a_contract_guard_reads():
+    src = (
+        "events a, b;\nint y;\n"
+        "proc p() _(trace a if 0 < y) _(trace b if !(0 < y)) {\n"
+        "  if (0 < y) { _(emit a) } else { _(emit b) }\n"
+        "}\n"
+    )
+    assert verify_program(load(src)).verified
+
+
+def test_join_keeps_apart_branches_the_path_ties_to_a_live_variable():
+    # in the inner if, x is dead but equal to y, which the contract reads
+    src = (
+        "events a, b;\nint y;\n"
+        "proc p() _(trace a if 0 < y) _(trace b if !(0 < y)) {\n"
+        "  int x = nondet();\n"
+        "  if (x == y) { if (0 < x) { _(emit a) } else { _(emit b) } }\n"
+        "  else { if (0 < y) { _(emit a) } else { _(emit b) } }\n"
+        "}\n"
+    )
+    assert verify_program(load(src)).verified
+
+
+def test_if_node_placed_twice_keeps_the_live_variables_of_both_sites():
+    src = (
+        "events a, b;\nbool z;\n"
+        "proc p() _(trace (a | b) a if z) _(trace (a | b) b if !z) {\n"
+        "  bool x = nondet();\n"
+        "  if (x) { _(emit a) } else { _(emit b) }\n"
+        "  x = nondet();\n"
+        "  z = x;\n"
+        "  if (x) { _(emit a) } else { _(emit b) }\n"
+        "}\n"
+    )
+    p = load(src)
+    assert verify_program(p).verified
+    # the same node at both sites: z, live after the second only, must stay live
+    proc = p.procedures["p"]
+    stmts = proc.body.stmts
+    first = next(s for s in stmts if isinstance(s, If))
+    proc.body = Seq(tuple(first if isinstance(s, If) else s for s in stmts))
+    assert verify_program(p).verified
+
+
+def test_join_after_a_loop_restarted_a_branch_prefix():
+    # the loop's exit state holds the invariant's whole-history case, not a
+    # tail after the prefix before the if
+    src = (
+        "events a, b;\n"
+        "proc p() _(trace b (a* | b)) {\n"
+        "  _(emit b)\n"
+        "  bool c = nondet();\n"
+        "  if (c) {\n"
+        "    bool nd = nondet();\n"
+        "    while (nd) _(trace b a*) { _(emit a) nd = nondet(); }\n"
+        "  } else { _(emit b) }\n"
+        "}\n"
+    )
+    joining = _Joining(load(src))
+    assert joining.verify_program().verified
+    assert joining.paths == 1
+
+
+_VARS = st.lists(
+    st.tuples(st.sampled_from(["bool", "int"]), st.booleans()), min_size=2, max_size=3
+)
+_EVENTS = st.sampled_from(["a", "b"])
+_REGEXES = [
+    "(a | b)*", "a* b*", "a b | b a", "a a | b b", "(a a | b b)*", "a", "b", "(a b)*",
+    "b* a*", "a (a | b)*", "()",
+]
+
+
+@st.composite
+def _procedures(draw):
+    """Sources of one procedure with sequential and nested ifs over 2-3 bool
+    and int locals and globals, assignments, nondet(), emits, and a trace
+    contract whose guards, if any, read globals."""
+    decls = [(f"v{i}", ty, is_global) for i, (ty, is_global) in enumerate(draw(_VARS))]
+    bools = [n for n, ty, _ in decls if ty == "bool"]
+    ints = [n for n, ty, _ in decls if ty == "int"]
+
+    def condition(names_bool, names_int):
+        # few tests, so that later ifs and contract guards often repeat one
+        options = list(names_bool) + [f"0 < {x}" for x in names_int]
+        options += [f"{x} <= {y}" for x in names_int for y in names_int if x < y]
+        return draw(st.sampled_from(options or ["true"]))
+
+    def assign():
+        name, ty, _ = draw(st.sampled_from(decls))
+        if ty == "bool":
+            value = draw(st.sampled_from(
+                ["nondet()", "true", "false"] + bools + [f"!{b}" for b in bools]))
+        else:
+            value = draw(st.sampled_from(
+                ["nondet()", "0", "1", "-1"] + [f"{x} + 1" for x in ints]))
+        return f"{name} = {value};"
+
+    def block(depth):
+        stmts = []
+        for _ in range(draw(st.integers(0 if depth else 1, 2 if depth else 4))):
+            kinds = ["emit", "emit", "assign", "if"] if depth < 2 else ["emit", "assign"]
+            kind = draw(st.sampled_from(kinds))
+            if kind == "emit":
+                stmts.append(f"_(emit {draw(_EVENTS)})")
+            elif kind == "assign":
+                stmts.append(assign())
+            else:
+                stmts.append(f"if ({condition(bools, ints)}) {{ {block(depth + 1)} }}"
+                             f" else {{ {block(depth + 1)} }}")
+        return " ".join(stmts)
+
+    lines = ["events a, b;"]
+    lines += [f"{ty} {n};" for n, ty, is_global in decls if is_global]
+    contract = []
+    global_bools = [n for n, ty, g in decls if g and ty == "bool"]
+    global_ints = [n for n, ty, g in decls if g and ty == "int"]
+    for _ in range(draw(st.integers(0, 2))):
+        regex = draw(st.sampled_from(_REGEXES))
+        if (global_bools or global_ints) and draw(st.booleans()):
+            # a case split on a global, the other case often covered too
+            guard = condition(global_bools, global_ints)
+            contract.append(f"_(trace {regex} if {guard})")
+            if draw(st.booleans()):
+                contract.append(f"_(trace {draw(st.sampled_from(_REGEXES))} if !({guard}))")
+        else:
+            contract.append(f"_(trace {regex})")
+    local_decls = " ".join(f"{ty} {n} = nondet();" for n, ty, g in decls if not g)
+    lines.append(f"proc p() {' '.join(contract)} {{ {local_decls} {block(0)} }}")
+    return "\n".join(lines) + "\n"
+
+
+class _CountingPaths:
+    paths = 0
+
+    def finalize_path(self, state, proc, entry, obs):
+        self.paths += 1
+        super().finalize_path(state, proc, entry, obs)
+
+
+class _Joining(_CountingPaths, Verifier):
+    pass
+
+
+class _Forking(_CountingPaths, ReferenceVerifier):
+    pass
+
+
+@given(_procedures())
+@settings(max_examples=300, deadline=None)
+def test_joins_agree_with_reference_verifier(src):
+    p = load(src)
+    joining, forking = _Joining(p), _Forking(p)
+    rep, ref = joining.verify_program(), forking.verify_program()
+    assert rep.verified == ref.verified
+    assert joining.paths <= forking.paths
+    for ob in _trace_inclusions(rep):
+        if not ob.holds and ob.witness is not None:
+            assert rx.member(ob.witness, ob.lhs_regex)
+            assert not rx.member(ob.witness, ob.rhs_regex)
+    # a join is exact: the paths refute the same words, up to a length
+    assert _refuted(rep) == _refuted(ref)
+
+
+def _refuted(rep, max_len=8):
+    """The words of at most `max_len` events that some trace inclusion's
+    left side has and its right side lacks, by obligation site."""
+    out = {}
+    for ob in _trace_inclusions(rep):
+        words = out.setdefault((ob.description, ob.span), set())
+        words.update(w for w in enum_words(ob.lhs_regex, max_len) if not enum_member(w, ob.rhs_regex))
+    return out
