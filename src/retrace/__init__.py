@@ -1,6 +1,6 @@
 """Deductive verification of regular-expression event-trace contracts."""
 
-from .formula import Formula, GroundState, Term, Var, evaluate, prime, substitute
+from .formula import Formula, GroundState, Term, Var, evaluate, substitute
 from .interp import OracleReport, RunResult, check_triple_random, run
 from .lang import Program, SourceError, load, load_file, parse, pretty, resolve
 from .regex import Regex, derive, equivalent, included, member, nullable
@@ -40,7 +40,6 @@ __all__ = [
     "nullable",
     "parse",
     "pretty",
-    "prime",
     "resolve",
     "run",
     "substitute",

@@ -18,6 +18,8 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_ERROR = 2
 
+ORACLE_RUNS = 200  # oracle runs of --mode oracle|both without --oracle
+
 
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -29,7 +31,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("verify", "oracle", "both"),
         default=None,
-        help="what to run (default: verify; --oracle implies both)",
+        help="what to run (default: verify; --oracle implies both; oracle and "
+        f"both without --oracle make {ORACLE_RUNS} runs)",
     )
     ap.add_argument(
         "--oracle",
@@ -77,7 +80,7 @@ def _run(args: argparse.Namespace) -> int:
         print("error: --fuel must be at least 1", file=sys.stderr)
         return EXIT_ERROR
     mode = args.mode or ("both" if args.oracle_runs is not None else "verify")
-    runs = args.oracle_runs if args.oracle_runs is not None else 200
+    runs = args.oracle_runs if args.oracle_runs is not None else ORACLE_RUNS
 
     files_out: list[dict] = []
     lines: list[str] = []

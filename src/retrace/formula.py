@@ -8,7 +8,7 @@ transition relations between a pre- and a post-state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 Value = Union[bool, int]
 GroundState = Mapping[str, Value]
@@ -16,10 +16,6 @@ GroundState = Mapping[str, Value]
 
 class FormulaError(Exception):
     pass
-
-
-class AlreadyPrimed(FormulaError):
-    """Raised when priming a formula that already mentions primed variables."""
 
 
 class UnboundVariable(FormulaError):
@@ -265,85 +261,66 @@ def atom_vars(a: Formula) -> tuple[Var, ...]:
     return tuple(v for t in (a.lhs, a.rhs) for v, _ in t.coeffs)
 
 
-def free_vars(f: Formula) -> frozenset[Var]:
+def free_vars(f: Union[Formula, Term]) -> frozenset[Var]:
+    if isinstance(f, Term):
+        return frozenset(v for v, _ in f.coeffs)
     return frozenset(v for a in atoms(f) for v in atom_vars(a))
 
 
-def prime(f: Formula) -> Formula:
-    """Prime every free variable; the input must not contain primed ones."""
-    if any(v.primed for v in free_vars(f)):
-        raise AlreadyPrimed(f"formula already mentions primed variables: {f}")
-    return substitute(
-        f, {v: Var(v.name, True) for v in free_vars(f)}, partial=False
-    )
+def _binding(v: Var, s: Optional[Mapping], sp: Optional[Mapping]) -> Any:
+    """What `v` is bound to, by name: primed variables in `sp`, the others
+    in `s`; None when unbound."""
+    env = sp if v.primed else s
+    return None if env is None else env.get(v.name)
 
 
-Substitution = Mapping[Var, Union[Var, Term, Formula, int, bool]]
-
-
-def _subst_term(t: Term, sub: Substitution, partial: bool) -> Term:
-    acc = tconst(t.const)
-    for v, c in t.coeffs:
-        if v in sub:
-            repl = sub[v]
-            if isinstance(repl, bool):
-                raise UnboundVariable(f"integer variable {v} bound to a boolean")
-            if isinstance(repl, int):
-                repl = tconst(repl)
-            elif isinstance(repl, Var):
-                repl = Term(((repl, 1),))
-            elif not isinstance(repl, Term):
-                raise UnboundVariable(f"integer variable {v} bound to a formula")
-            acc = acc + repl.scaled(c)
-        elif partial:
-            acc = acc + Term(((v, c),))
-        else:
-            raise UnboundVariable(f"no binding for {v}")
-    return acc
+Substitution = Mapping[str, Union[Term, Formula]]
 
 
 def substitute(
-    f: Union[Formula, Term], sub: Substitution, partial: bool = True
+    f: Union[Formula, Term], pre: Substitution, post: Optional[Substitution] = None
 ) -> Union[Formula, Term]:
-    """Capture-free substitution of variables by terms, formulas, or values,
-    in a formula or in a linear term.
-
-    With `partial` (the default) unmapped variables are left in place.
-    """
+    """Capture-free substitution in a formula or a linear term: unprimed
+    variables are replaced by their binding in `pre`, primed ones by theirs
+    in `post`, looked up by name as `evaluate` reads a state; unbound
+    variables stay in place. Only the formula is walked, never the maps."""
     if isinstance(f, Term):
-        return _subst_term(f, sub, partial)
+        acc = tconst(f.const)
+        for v, c in f.coeffs:
+            repl = _binding(v, pre, post)
+            if repl is None:
+                acc = acc + Term(((v, c),))
+            elif isinstance(repl, Term):
+                acc = acc + repl.scaled(c)
+            else:
+                raise UnboundVariable(f"integer variable {v} bound to {repl!r}")
+        return acc
     if isinstance(f, BoolLit):
         return f
     if isinstance(f, BoolRef):
-        if f.var in sub:
-            repl = sub[f.var]
-            if isinstance(repl, bool):
-                return TRUE if repl else FALSE
-            if isinstance(repl, Var):
-                return BoolRef(repl)
-            if isinstance(repl, Formula):
-                return repl
-            raise UnboundVariable(f"boolean variable {f.var} bound to {repl!r}")
-        if partial:
+        repl = _binding(f.var, pre, post)
+        if repl is None:
             return f
-        raise UnboundVariable(f"no binding for {f.var}")
+        if isinstance(repl, Formula):
+            return repl
+        raise UnboundVariable(f"boolean variable {f.var} bound to {repl!r}")
     if isinstance(f, Cmp):
-        return cmp(f.op, _subst_term(f.lhs, sub, partial), _subst_term(f.rhs, sub, partial))
+        return cmp(f.op, substitute(f.lhs, pre, post), substitute(f.rhs, pre, post))
     if isinstance(f, Not):
-        return neg(substitute(f.arg, sub, partial))
+        return neg(substitute(f.arg, pre, post))
     if isinstance(f, And):
-        return conj(*(substitute(a, sub, partial) for a in f.args))
+        return conj(*(substitute(a, pre, post) for a in f.args))
     if isinstance(f, Or):
-        return disj(*(substitute(a, sub, partial) for a in f.args))
+        return disj(*(substitute(a, pre, post) for a in f.args))
     assert isinstance(f, Implies)
-    return implies(substitute(f.lhs, sub, partial), substitute(f.rhs, sub, partial))
+    return implies(substitute(f.lhs, pre, post), substitute(f.rhs, pre, post))
 
 
 def _lookup(v: Var, s: Optional[GroundState], sp: Optional[GroundState]) -> Value:
-    env = sp if v.primed else s
-    if env is None or v.name not in env:
+    val = _binding(v, s, sp)
+    if val is None:
         raise UnboundVariable(f"no value for {v}")
-    return env[v.name]
+    return val
 
 
 def eval_term(t: Term, s: Optional[GroundState], sp: Optional[GroundState] = None) -> int:

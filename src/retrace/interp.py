@@ -3,8 +3,8 @@ contract checker built on top of it.
 
 Runs are deterministic for a given seed.  Nondeterminism (havoc, loop
 exits, specification statements, bodiless procedures) is resolved by a
-seeded generator; diverging runs are cut off by fuel and reported
-separately, never judged.
+seeded generator; diverging runs are cut off by fuel, or by the depth of
+Python's stack, and reported separately, never judged.
 """
 
 from __future__ import annotations
@@ -217,7 +217,9 @@ def run(
         frame = ex.exec_proc(proc, frame_init)
     except _Aborted:
         return RunResult("aborted", None, tuple(ex.trace))
-    except _OutOfFuel:
+    except (_OutOfFuel, RecursionError):
+        # a run deep enough to exhaust Python's stack is cut off like one that
+        # exhausts its fuel
         return RunResult("fuel", None, tuple(ex.trace))
     final = dict(ex.globals)
     final.update(frame)

@@ -70,10 +70,11 @@ def complete(spec: TraceSpec) -> TraceSpec:
     return TraceSpec(spec.options + (TraceOption(rx.EPSILON, rest),))
 
 
-def subst_spec(spec: TraceSpec, sub: Substitution) -> TraceSpec:
-    """Apply a substitution to every guard (regexes are state-independent)."""
+def subst_spec(spec: TraceSpec, pre: Substitution) -> TraceSpec:
+    """Substitute `pre` in every guard, as `substitute` does (regexes are
+    state-independent)."""
     return TraceSpec(
-        tuple(TraceOption(o.regex, substitute(o.guard, sub)) for o in spec.options)
+        tuple(TraceOption(o.regex, substitute(o.guard, pre)) for o in spec.options)
     )
 
 

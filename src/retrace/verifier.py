@@ -158,16 +158,9 @@ class VerdictReport:
         }
 
 
-def _symbols(v: SymValue) -> frozenset[Var]:
-    """The variables of a term or a formula."""
-    if isinstance(v, Term):
-        return frozenset(x for x, _ in v.coeffs)
-    return free_vars(v)
-
-
 def _reads(*values: SymValue) -> frozenset[str]:
     """The program variables, primed or not, that the values mention."""
-    return frozenset(x.name for v in values for x in _symbols(v))
+    return frozenset(x.name for v in values for x in free_vars(v))
 
 
 def _guards(spec: TraceSpec) -> list[Formula]:
@@ -261,19 +254,6 @@ class Verifier:
                 out[name] = self.fresh(name, ty)
         return out
 
-    @staticmethod
-    def ground(f: SymValue, store: Store) -> SymValue:
-        return substitute(f, {Var(name): val for name, val in store.items()})
-
-    @staticmethod
-    def ground2(f: Formula, pre: Store, post: Store) -> Formula:
-        sub: dict[Var, SymValue] = {Var(name): val for name, val in pre.items()}
-        sub.update({Var(name, True): val for name, val in post.items()})
-        return substitute(f, sub)
-
-    def ground_spec(self, spec: TraceSpec, store: Store) -> TraceSpec:
-        return subst_spec(spec, {Var(name): val for name, val in store.items()})
-
     def feasible(self, f: Formula) -> bool:
         # only a definite unsat prunes; unknown keeps the branch
         return self.solver.satisfiable(f).status != "unsat"
@@ -359,14 +339,14 @@ class Verifier:
             state.append(rx.symbol(c.event))
             return [state]
         if isinstance(c, Assign):
-            state.store[c.var] = self.ground(c.value, state.store)
+            state.store[c.var] = substitute(c.value, state.store)
             return [state]
         if isinstance(c, Havoc):
             ty = self.p.var_type(c.var, proc) or "int"
             state.store[c.var] = self.fresh(c.var, ty)
             return [state]
         if isinstance(c, If):
-            t = self.ground(c.test, state.store)
+            t = substitute(c.test, state.store)
             out: list[SymState] = []
             for cond, branch in ((t, c.then), (neg(t), c.orelse)):
                 path2 = conj(state.path, cond)
@@ -392,16 +372,16 @@ class Verifier:
         self, c: SpecStmt, state: SymState, proc: Procedure,
         obs: list[Obligation], what: str,
     ) -> list[SymState]:
-        g = self.ground(c.guard, state.store)
+        g = substitute(c.guard, state.store)
         if g != TRUE:
             self._entailment(obs, GUARD_CHECK, f"{what}: guard", state.path, g, c.span)
         pre_store = state.store
         post_store = self.havoc(pre_store, list(c.mods), proc)
-        rel = self.ground2(c.rel, pre_store, post_store)
+        rel = substitute(c.rel, pre_store, post_store)
         path2 = conj(state.path, rel)
         out: list[SymState] = []
         for opt in complete(c.trace).options:
-            phi = self.ground(opt.guard, pre_store)
+            phi = substitute(opt.guard, pre_store)
             path3 = conj(path2, phi)
             if not self.feasible(path3):
                 continue
@@ -415,7 +395,7 @@ class Verifier:
         inv = w.invariant
         self._entailment(
             obs, ENTAILMENT, "loop invariant established",
-            state.path, self.ground(inv, state.store), w.span,
+            state.path, substitute(inv, state.store), w.span,
         )
         mods = sorted(modified_in(w.body, self.p))
         hstore = self.havoc(state.store, mods, proc)
@@ -430,15 +410,13 @@ class Verifier:
             spec = complete(w.trace_inv)
             self._trace_inclusion(
                 obs, "loop trace invariant established",
-                state, self.ground_spec(spec, state.store), w.span,
+                state, subst_spec(spec, state.store), w.span,
             )
-            starts = self.ground_spec(spec, hstore)
+            starts = subst_spec(spec, hstore)
             post_desc = "loop trace invariant preserved"
         # preservation: from an arbitrary state satisfying test and invariant,
         # with the prefix replaced by each satisfiable start case
-        path_body = conj(
-            self.ground(inv, hstore), self.ground(w.test, hstore)
-        )
+        path_body = conj(substitute(inv, hstore), substitute(w.test, hstore))
         if self.feasible(path_body):
             for opt in starts.options:
                 case_path = conj(path_body, opt.guard)
@@ -448,18 +426,14 @@ class Verifier:
                 for fin in self.exec(w.body, start, proc, obs, warnings):
                     self._entailment(
                         obs, INVARIANT_PRESERVATION, "loop invariant preserved",
-                        fin.path, self.ground(inv, fin.store), w.span,
+                        fin.path, substitute(inv, fin.store), w.span,
                     )
                     self._trace_inclusion(
-                        obs, post_desc, fin, self.ground_spec(spec, fin.store), w.span
+                        obs, post_desc, fin, subst_spec(spec, fin.store), w.span
                     )
         # continuation: exit states assume the invariant and the negated test
         cstore = self.havoc(state.store, mods, proc)
-        cpath = conj(
-            state.path,
-            self.ground(inv, cstore),
-            neg(self.ground(w.test, cstore)),
-        )
+        cpath = conj(state.path, substitute(inv, cstore), neg(substitute(w.test, cstore)))
         if not self.feasible(cpath):
             return []
         if w.local_trace:
@@ -469,7 +443,7 @@ class Verifier:
         # the prefix becomes the invariant case that matches the exit state
         out: list[SymState] = []
         user_cases = 0
-        for i, opt in enumerate(self.ground_spec(spec, cstore).options):
+        for i, opt in enumerate(subst_spec(spec, cstore).options):
             path_exit = conj(cpath, opt.guard)
             if not self.feasible(path_exit):
                 continue
@@ -552,7 +526,7 @@ class Verifier:
                 return None
             deltas.append(conj(*full[len(base):]))
         syms = frozenset().union(*map(free_vars, deltas))
-        if syms & pre_syms or any(syms & _symbols(group[0].store[n]) for n in names):
+        if syms & pre_syms or any(syms & free_vars(group[0].store[n]) for n in names):
             return None
         branched = TRUE if len(deltas) == 2 and deltas[1] == neg(deltas[0]) else disj(*deltas)
         store, path = group[0].store, conj(pre.path, branched)
@@ -568,9 +542,9 @@ class Verifier:
         self, state: SymState, proc: Procedure, entry: Store,
         obs: list[Obligation],
     ) -> None:
-        post = self.ground2(proc.ensures, entry, state.store)
+        post = substitute(proc.ensures, entry, state.store)
         self._entailment(obs, ENTAILMENT, "postcondition", state.path, post, proc.span)
-        contract = self.ground_spec(complete(proc.trace), state.store)
+        contract = subst_spec(complete(proc.trace), state.store)
         self._trace_inclusion(obs, "contract trace", state, contract, proc.span)
 
     def verify_procedure(self, name: str) -> ProcedureReport:
@@ -579,7 +553,7 @@ class Verifier:
             raise ValueError(f"procedure {name!r} has no body")
         report = ProcedureReport(name=name)
         entry = self.fresh_store(proc)
-        path0 = self.ground(proc.requires, entry)
+        path0 = substitute(proc.requires, entry)
         if not self.feasible(path0):
             report.warnings.append("precondition is unsatisfiable; contract holds vacuously")
             return report

@@ -34,6 +34,7 @@ from retrace.formula import (
     free_vars,
     implies,
     neg,
+    substitute,
     tconst,
     tvar,
 )
@@ -665,7 +666,7 @@ class ReferenceVerifier(Verifier):
     def exec(self, c, state, proc, obs, warnings):
         if not isinstance(c, If):
             return super().exec(c, state, proc, obs, warnings)
-        t = self.ground(c.test, state.store)
+        t = substitute(c.test, state.store)
         out = []
         for cond, branch in ((t, c.then), (neg(t), c.orelse)):
             path2 = conj(state.path, cond)

@@ -90,6 +90,18 @@ def test_oracle_only_mode(capsys):
     assert "obligations" not in out
 
 
+def test_oracle_stack_overflow_is_not_an_internal_error(tmp_path, capsys):
+    src = tmp_path / "rec.rt"
+    src.write_text(
+        "events a;\nproc p() _(ensures false) "
+        "{ bool b = true; if (b) { if (b) { if (b) { p(); } } } }\n"
+    )
+    code, out, err = run_cli(capsys, "--oracle", "3", str(src))
+    assert code == 0
+    assert "0 violations / 3 runs (completed: 0, fuel-exhausted: 3)" in out
+    assert "internal error" not in err
+
+
 def test_oracle_detects_mutant(capsys):
     code, out, err = run_cli(
         capsys, "--mode", "oracle", "--oracle", "60", str(path("even_odd_swapped"))

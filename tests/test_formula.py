@@ -1,9 +1,10 @@
+from collections.abc import Mapping
+
 import pytest
 
 from retrace.formula import (
     FALSE,
     TRUE,
-    AlreadyPrimed,
     BoolRef,
     UnboundVariable,
     Var,
@@ -16,7 +17,6 @@ from retrace.formula import (
     free_vars,
     implies,
     neg,
-    prime,
     render_formula,
     substitute,
     tconst,
@@ -27,45 +27,80 @@ b = BoolRef(Var("b"))
 bp = BoolRef(Var("b", True))
 
 
-def test_prime_boolean():
-    assert prime(b) == bp
-
-
-def test_prime_mixed_atoms():
-    f = conj(cmp("==", tvar("state"), tconst(1)), cmp("<=", tvar("x"), tconst(3)))
-    got = prime(f)
-    assert got == conj(
-        cmp("==", tvar("state", True), tconst(1)),
-        cmp("<=", tvar("x", True), tconst(3)),
-    )
-
-
-def test_prime_constants():
-    assert prime(TRUE) == TRUE
-
-
-def test_prime_rejects_already_primed():
-    with pytest.raises(AlreadyPrimed):
-        prime(bp)
-
-
 def test_substitute_constant_folds():
     f = cmp("<=", tvar("x"), tconst(3))
-    assert substitute(f, {Var("x"): 2}) == TRUE
-    assert substitute(f, {Var("x"): 4}) == FALSE
+    assert substitute(f, {"x": tconst(2)}) == TRUE
+    assert substitute(f, {"x": tconst(4)}) == FALSE
     t = tvar("x").scaled(2) + tvar("y") + tconst(1)
-    assert substitute(t, {Var("x"): tvar("z") + tconst(1)}) == (
+    assert substitute(t, {"x": tvar("z") + tconst(1)}) == (
         tvar("z").scaled(2) + tvar("y") + tconst(3)
     )
-    assert substitute(t, {Var("x"): 2, Var("y"): 3}) == tconst(8)
+    assert substitute(t, {"x": tconst(2), "y": tconst(3)}) == tconst(8)
     with pytest.raises(UnboundVariable):
-        substitute(t, {Var("x"): b})
+        substitute(t, {"x": b})
 
 
 def test_substitute_formula_for_bool():
     f = conj(b, cmp("<", tvar("x"), tvar("y")))
-    got = substitute(f, {Var("b"): neg(BoolRef(Var("c")))})
+    got = substitute(f, {"b": neg(BoolRef(Var("c")))})
     assert got == conj(neg(BoolRef(Var("c"))), cmp("<", tvar("x"), tvar("y")))
+
+
+def test_substitute_grounds_pre_post_relation():
+    # x' == x + 1, between the states x = 2 * n and x = m
+    rel = cmp("==", tvar("x", True), tvar("x") + tconst(1))
+    got = substitute(rel, {"x": tvar("n").scaled(2)}, {"x": tvar("m")})
+    assert got == cmp("==", tvar("m"), tvar("n").scaled(2) + tconst(1))
+    # the post-state alone leaves the unprimed side in place
+    assert substitute(rel, {}, {"x": tvar("m")}) == cmp(
+        "==", tvar("m"), tvar("x") + tconst(1)
+    )
+
+
+def test_substitute_leaves_primed_in_place_without_post():
+    f = conj(bp, cmp("<", tvar("x", True), tvar("x")))
+    got = substitute(f, {"b": TRUE, "x": tconst(4)})
+    assert got == conj(bp, cmp("<", tvar("x", True), tconst(4)))
+
+
+def test_substitute_rejects_a_binding_of_the_other_type():
+    f = cmp("<", tvar("x", True), tconst(0))
+    with pytest.raises(UnboundVariable):
+        substitute(f, {}, {"x": b})
+    with pytest.raises(UnboundVariable):
+        substitute(b, {"b": tconst(1)})
+
+
+class _LookupOnly(Mapping):
+    """A store that answers lookups and refuses to be walked."""
+
+    def __init__(self, data):
+        self._data = data
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        raise AssertionError("store walked")
+
+    def __len__(self):
+        raise AssertionError("store walked")
+
+    def keys(self):
+        raise AssertionError("store walked")
+
+    def items(self):
+        raise AssertionError("store walked")
+
+
+def test_substitute_never_walks_its_store():
+    store = _LookupOnly({"b": neg(BoolRef(Var("c"))), "x": tvar("z"), "y": tconst(2)})
+    f = implies(b, disj(cmp("<", tvar("x"), tvar("y")), bp))
+    got = substitute(f, store, store)
+    assert got == implies(
+        neg(BoolRef(Var("c"))), disj(cmp("<", tvar("z"), tconst(2)), neg(BoolRef(Var("c"))))
+    )
+    assert substitute(tvar("x") + tvar("w"), store) == tvar("z") + tvar("w")
 
 
 def test_evaluate_transition_relation():
@@ -90,8 +125,10 @@ def test_evaluate_unbound():
 
 def test_evaluate_primed_matches_unprimed_shifted():
     f = conj(cmp("<", tvar("x"), tconst(5)), b)
-    s = {"x": 3, "b": True}
-    assert evaluate(prime(f), None, s) == evaluate(f, s, None)
+    fp = substitute(f, {"x": tvar("x", True), "b": bp})
+    assert fp == conj(cmp("<", tvar("x", True), tconst(5)), bp)
+    for s in ({"x": 3, "b": True}, {"x": 5, "b": True}, {"x": 3, "b": False}):
+        assert evaluate(fp, None, s) == evaluate(f, s, None)
 
 
 def test_free_vars():

@@ -233,6 +233,22 @@ def test_fuel_exhausted_reported_not_judged():
     assert rep.violations == []
 
 
+DEEP_RECURSION = (
+    "events a;\nproc p() _(ensures false) "
+    "{ bool b = true; if (b) { if (b) { if (b) { p(); } } } }"
+)
+
+
+def test_stack_overflow_counts_as_fuel_exhausted():
+    # both runs out of Python's stack before their fuel runs out
+    p = load(DEEP_RECURSION)
+    rep = check_triple_random(p, "p", runs=3, seed=0)
+    assert (rep.fuel_exhausted, rep.completed, rep.violations) == (3, 0, [])
+    p = load("events a;\nproc p() _(ensures false) { p(); }")
+    rep = check_triple_random(p, "p", runs=3, seed=0, fuel=400)
+    assert (rep.fuel_exhausted, rep.completed, rep.violations) == (3, 0, [])
+
+
 def test_oracle_report_roundtrip():
     p = load_corpus("while_star")
     rep = check_triple_random(p, "churn", runs=20, seed=9)

@@ -16,6 +16,7 @@ from retrace.formula import (
     conj,
     disj,
     neg,
+    substitute,
 )
 from retrace.lang import (
     Abort,
@@ -123,7 +124,7 @@ def _setup(src):
     proc = p.procedures["p"]
     v = Verifier(p)
     store = v.fresh_store(proc)
-    state = SymState(dict(store), v.ground(proc.requires, store), rx.EPSILON)
+    state = SymState(dict(store), substitute(proc.requires, store), rx.EPSILON)
     return p, proc, v, state
 
 
