@@ -8,7 +8,7 @@ transition relations between a pre- and a post-state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 Value = Union[bool, int]
 GroundState = Mapping[str, Value]
@@ -316,52 +316,113 @@ def substitute(
     return implies(substitute(f.lhs, pre, post), substitute(f.rhs, pre, post))
 
 
-def _lookup(v: Var, s: Optional[GroundState], sp: Optional[GroundState]) -> Value:
-    val = _binding(v, s, sp)
-    if val is None:
-        raise UnboundVariable(f"no value for {v}")
-    return val
+Env = tuple[Optional[Mapping[str, Value]], ...]
+Selector = Callable[[Var], int]
+
+
+def by_prime(v: Var) -> int:
+    """The selector of `evaluate`: unprimed variables read the first
+    mapping, primed ones the second."""
+    return 1 if v.primed else 0
+
+
+def _read(v: Var, i: int, boolean: bool) -> Callable[[Env], Value]:
+    """Read `v` by name from `env[i]`; an absent mapping or name, or a value
+    of the other type, raises `UnboundVariable`."""
+    name = v.name
+    unbound = (LookupError, TypeError)  # no such name, or env[i] is absent
+
+    if boolean:
+        def read(env: Env) -> Value:
+            try:
+                val = env[i][name]  # type: ignore[index]
+            except unbound:
+                raise UnboundVariable(f"no value for {v}") from None
+            if val is True or val is False:
+                return val
+            raise UnboundVariable(f"{v} holds an integer, expected a boolean")
+    else:
+        def read(env: Env) -> Value:
+            try:
+                val = env[i][name]  # type: ignore[index]
+            except unbound:
+                raise UnboundVariable(f"no value for {v}") from None
+            if val is True or val is False:
+                raise UnboundVariable(f"{v} holds a boolean, expected an integer")
+            return val
+    return read
+
+
+def compile_term(t: Term, select: Selector) -> Callable[[Env], int]:
+    """Compile a linear term to a function of an environment, a tuple of
+    mappings; `select` picks the mapping each variable is read from."""
+    k = t.const
+    reads = tuple((c, _read(v, select(v), False)) for v, c in t.coeffs)
+    if not reads:
+        return lambda env: k
+    if len(reads) == 1:
+        c, r = reads[0]
+        if c == 1:
+            return r if k == 0 else lambda env: r(env) + k
+        return lambda env: c * r(env) + k
+
+    def term(env: Env) -> int:
+        total = k
+        for c, r in reads:
+            total += c * r(env)
+        return total
+
+    return term
+
+
+def compile_formula(f: Formula, select: Selector) -> Callable[[Env], bool]:
+    """Compile a formula to a function of an environment, as `compile_term`
+    does; connectives short-circuit left to right."""
+    if isinstance(f, BoolLit):
+        value = f.value
+        return lambda env: value
+    if isinstance(f, BoolRef):
+        return _read(f.var, select(f.var), True)  # type: ignore[return-value]
+    if isinstance(f, Cmp):
+        a, b = compile_term(f.lhs, select), compile_term(f.rhs, select)
+        if f.op == "==":
+            return lambda env: a(env) == b(env)
+        if f.op == "!=":
+            return lambda env: a(env) != b(env)
+        if f.op == "<":
+            return lambda env: a(env) < b(env)
+        return lambda env: a(env) <= b(env)
+    if isinstance(f, Not):
+        g = compile_formula(f.arg, select)
+        return lambda env: not g(env)
+    if isinstance(f, Implies):
+        p, q = compile_formula(f.lhs, select), compile_formula(f.rhs, select)
+        return lambda env: not p(env) or q(env)
+    assert isinstance(f, (And, Or))
+    parts = tuple(compile_formula(a, select) for a in f.args)
+    # a connective returns at the first part that settles it
+    settle = not isinstance(f, And)
+
+    def connective(env: Env) -> bool:
+        for g in parts:
+            if g(env) is settle:
+                return settle
+        return not settle
+
+    return connective
 
 
 def eval_term(t: Term, s: Optional[GroundState], sp: Optional[GroundState] = None) -> int:
-    total = t.const
-    for v, c in t.coeffs:
-        val = _lookup(v, s, sp)
-        if isinstance(val, bool):
-            raise UnboundVariable(f"{v} holds a boolean, expected an integer")
-        total += c * val
-    return total
+    """Ground evaluation of a term, as `evaluate` reads variables."""
+    return compile_term(t, by_prime)((s, sp))
 
 
 def evaluate(
     f: Formula, s: Optional[GroundState], sp: Optional[GroundState] = None
 ) -> bool:
-    """Ground evaluation: unprimed variables read from `s`, primed from `sp`."""
-    if isinstance(f, BoolLit):
-        return f.value
-    if isinstance(f, BoolRef):
-        val = _lookup(f.var, s, sp)
-        if not isinstance(val, bool):
-            raise UnboundVariable(f"{f.var} holds an integer, expected a boolean")
-        return val
-    if isinstance(f, Cmp):
-        a = eval_term(f.lhs, s, sp)
-        b = eval_term(f.rhs, s, sp)
-        if f.op == "==":
-            return a == b
-        if f.op == "!=":
-            return a != b
-        if f.op == "<":
-            return a < b
-        return a <= b
-    if isinstance(f, Not):
-        return not evaluate(f.arg, s, sp)
-    if isinstance(f, And):
-        return all(evaluate(a, s, sp) for a in f.args)
-    if isinstance(f, Or):
-        return any(evaluate(a, s, sp) for a in f.args)
-    assert isinstance(f, Implies)
-    return (not evaluate(f.lhs, s, sp)) or evaluate(f.rhs, s, sp)
+    """Ground evaluation: unprimed variables read from `s`, primed from `sp`,
+    by name; a missing or mis-typed value raises `UnboundVariable`."""
+    return compile_formula(f, by_prime)((s, sp))
 
 
 _PREC = {"implies": 0, "or": 1, "and": 2, "not": 3}

@@ -5,17 +5,29 @@ Runs are deterministic for a given seed.  Nondeterminism (havoc, loop
 exits, specification statements, bodiless procedures) is resolved by a
 seeded generator; diverging runs are cut off by fuel, or by the depth of
 Python's stack, and reported separately, never judged.
+
+A program is compiled to closures before it runs (Feeley and Lapalme,
+"Using closures for code generation", 1987), and the oracle compiles it
+once for all of its runs.
 """
 
 from __future__ import annotations
 
 import random
-from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import regex as rx
-from .formula import GroundState, Term, eval_term, evaluate
+from .formula import (
+    GroundState,
+    Selector,
+    Term,
+    Value,
+    Var,
+    by_prime,
+    compile_formula,
+    compile_term,
+)
 from .lang import (
     Abort,
     Assign,
@@ -30,7 +42,7 @@ from .lang import (
     SpecStmt,
     While,
 )
-from .tracespec import complete, eval_at
+from .tracespec import TraceSpec, complete
 
 _SPEC_RETRIES = 64
 _WORD_CAP = 8
@@ -44,7 +56,7 @@ class NoSatisfyingState(Exception):
 @dataclass
 class RunResult:
     outcome: str  # "stopped" | "aborted" | "fuel"
-    state: Optional[dict[str, Union[bool, int]]]
+    state: Optional[dict[str, Value]]
     trace: tuple[str, ...]
 
 
@@ -61,7 +73,7 @@ def _sample_value(
     rng: random.Random,
     domain: tuple[int, int],
     pool: tuple[int, ...] = (),
-) -> Union[bool, int]:
+) -> Value:
     # integers mix a uniform draw with the program's own constants, so
     # branch boundaries are actually hit
     if ty == "bool":
@@ -88,109 +100,192 @@ def _sample_word(r: rx.Regex, rng: random.Random) -> Optional[tuple[str, ...]]:
         r = rx.derive(a, r)
 
 
-class _Exec:
-    def __init__(self, p: Program, rng: random.Random, fuel: int) -> None:
-        self.p = p
+class _Run:
+    """The mutable part of one run: its generator, fuel and trace, and the
+    globals."""
+
+    __slots__ = ("rng", "fuel", "trace", "globals")
+
+    def __init__(self, rng: random.Random, fuel: int) -> None:
         self.rng = rng
         self.fuel = fuel
         self.trace: list[str] = []
-        self.globals: dict[str, Union[bool, int]] = {}
+        self.globals: dict[str, Value] = {}
 
-    def burn(self) -> None:
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise _OutOfFuel()
 
-    def state_view(self, frame: dict) -> ChainMap:
-        return ChainMap(frame, self.globals)
+# A compiled command runs on a run and an environment `(frame, globals)`.
+Env = tuple[dict[str, Value], dict[str, Value]]
+Code = Callable[[_Run, Env], None]
 
-    def set_var(self, name: str, value: Union[bool, int], frame: dict) -> None:
-        if name in frame:
-            frame[name] = value
-        else:
-            self.globals[name] = value
 
-    def exec_proc(
-        self, proc: Procedure, frame_init: Optional[dict] = None
-    ) -> dict[str, Union[bool, int]]:
+def _burn(r: _Run) -> None:
+    r.fuel -= 1
+    if r.fuel < 0:
+        raise _OutOfFuel()
+
+
+def _selector(local: dict[str, str], post: Optional[tuple[str, ...]] = None) -> Selector:
+    """Where a command of a procedure with locals `local` reads a variable:
+    the frame (0) or the globals (1), since locals cannot shadow globals.  A
+    primed variable reads the third mapping, which only a relation has; with
+    `post` given, only the primed variables it names do."""
+
+    def select(v: Var) -> int:
+        if v.primed and (post is None or v.name in post):
+            return 2
+        return 0 if v.name in local else 1
+
+    return select
+
+
+def _trace_lang(spec: TraceSpec, select: Selector) -> Callable[[tuple], rx.Regex]:
+    """`eval_at(complete(spec), ...)` compiled once: the union of the
+    completed options whose guards hold."""
+    options = tuple(
+        (o.regex, compile_formula(o.guard, select)) for o in complete(spec).options
+    )
+    return lambda env: rx.choice(*(r for r, guard in options if guard(env)))
+
+
+class CompiledProgram:
+    """A program compiled for execution: every command of every procedure
+    becomes a closure, its statement type tested once, here, and each
+    variable resolved to the frame or the globals."""
+
+    def __init__(self, p: Program) -> None:
+        self.program = p
+        self.procedures: dict[str, Callable[..., dict[str, Value]]] = {}
+        for name, proc in p.procedures.items():
+            self.procedures[name] = self._procedure(proc)
+
+    def _procedure(self, proc: Procedure) -> Callable[..., dict[str, Value]]:
         if proc.body is None:
-            self.exec_spec(proc.spec_stmt(), {})
-            return {}
-        frame: dict[str, Union[bool, int]] = {
-            name: False if ty == "bool" else 0 for name, ty in proc.locals.items()
-        }
-        if frame_init:
-            frame.update({k: v for k, v in frame_init.items() if k in frame})
-        self.exec(proc.body, frame)
-        return frame
+            spec = self._spec(proc.spec_stmt(), {})
 
-    def exec(self, c: Command, frame: dict) -> None:
+            def bodiless(r: _Run) -> dict[str, Value]:
+                spec(r, ({}, r.globals))
+                return {}
+
+            return bodiless
+        zero = {name: False if ty == "bool" else 0 for name, ty in proc.locals.items()}
+        body = self._command(proc.body, proc.locals)
+
+        def bodied(r: _Run, frame_init: Optional[dict] = None) -> dict[str, Value]:
+            frame = dict(zero)
+            if frame_init:
+                frame.update({k: v for k, v in frame_init.items() if k in frame})
+            body(r, (frame, r.globals))
+            return frame
+
+        return bodied
+
+    def _command(self, c: Command, local: dict[str, str]) -> Code:
+        select = _selector(local)
         if isinstance(c, Seq):
-            for s in c.stmts:
-                self.exec(s, frame)
-        elif isinstance(c, Emit):
-            self.trace.append(c.event)
-        elif isinstance(c, Assign):
-            view = self.state_view(frame)
-            if isinstance(c.value, Term):
-                self.set_var(c.var, eval_term(c.value, view), frame)
-            else:
-                self.set_var(c.var, evaluate(c.value, view), frame)
-        elif isinstance(c, Havoc):
-            ty = "bool" if isinstance(self.state_view(frame).get(c.var), bool) else "int"
-            self.set_var(c.var, _sample_value(ty, self.rng, self.p.int_domain, self.p.int_pool), frame)
-        elif isinstance(c, If):
-            if evaluate(c.test, self.state_view(frame)):
-                self.exec(c.then, frame)
-            else:
-                self.exec(c.orelse, frame)
-        elif isinstance(c, While):
-            while evaluate(c.test, self.state_view(frame)):
-                self.burn()
-                self.exec(c.body, frame)
-        elif isinstance(c, Call):
-            self.burn()
-            self.exec_proc(self.p.procedures[c.proc])
-        elif isinstance(c, SpecStmt):
-            self.exec_spec(c, frame)
-        elif isinstance(c, Abort):
-            raise _Aborted()
-        else:
-            raise ValueError(f"cannot execute {c!r}")
+            stmts = tuple(self._command(s, local) for s in c.stmts)
 
-    def exec_spec(self, c: SpecStmt, frame: dict) -> None:
-        view = self.state_view(frame)
-        if not evaluate(c.guard, view):
-            raise _Aborted()
-        pre = dict(view)
-        if c.mods:
-            for _ in range(_SPEC_RETRIES):
-                candidate = {}
-                for m in c.mods:
-                    ty = self.p.var_type(m)
-                    if ty is None:
-                        ty = "bool" if isinstance(view.get(m), bool) else "int"
-                    candidate[m] = _sample_value(ty, self.rng, self.p.int_domain, self.p.int_pool)
-                post = dict(pre)
-                post.update(candidate)
-                if evaluate(c.rel, pre, post):
-                    for m, v in candidate.items():
-                        self.set_var(m, v, frame)
+            def seq(r: _Run, env: Env) -> None:
+                for s in stmts:
+                    s(r, env)
+
+            return seq
+        if isinstance(c, Emit):
+            event = c.event
+            return lambda r, env: r.trace.append(event)
+        if isinstance(c, Assign):
+            i, var = select(Var(c.var)), c.var
+            value = (
+                compile_term(c.value, select)
+                if isinstance(c.value, Term)
+                else compile_formula(c.value, select)
+            )
+
+            def assign(r: _Run, env: Env) -> None:
+                env[i][var] = value(env)
+
+            return assign
+        if isinstance(c, Havoc):
+            i, var = select(Var(c.var)), c.var
+            ty = local.get(var) or self.program.var_type(var) or "int"
+            domain, pool = self.program.int_domain, self.program.int_pool
+
+            def havoc(r: _Run, env: Env) -> None:
+                env[i][var] = _sample_value(ty, r.rng, domain, pool)
+
+            return havoc
+        if isinstance(c, If):
+            test = compile_formula(c.test, select)
+            then, orelse = self._command(c.then, local), self._command(c.orelse, local)
+
+            def if_(r: _Run, env: Env) -> None:
+                (then if test(env) else orelse)(r, env)
+
+            return if_
+        if isinstance(c, While):
+            test = compile_formula(c.test, select)
+            body = self._command(c.body, local)
+
+            def while_(r: _Run, env: Env) -> None:
+                while test(env):
+                    _burn(r)
+                    body(r, env)
+
+            return while_
+        if isinstance(c, Call):
+            procedures, callee = self.procedures, c.proc
+
+            def call(r: _Run, env: Env) -> None:
+                _burn(r)
+                procedures[callee](r)
+
+            return call
+        if isinstance(c, SpecStmt):
+            return self._spec(c, local)
+        if isinstance(c, Abort):
+            def abort(r: _Run, env: Env) -> None:
+                raise _Aborted()
+
+            return abort
+        raise ValueError(f"cannot execute {c!r}")
+
+    def _spec(self, c: SpecStmt, local: dict[str, str]) -> Code:
+        """Guard, relation and completed trace options compiled once.  The
+        relation reads a primed modified variable from the candidate
+        values, the third mapping of its environment, and every other
+        variable from the state before the statement."""
+        p = self.program
+        select = _selector(local)
+        guard = compile_formula(c.guard, select)
+        rel = compile_formula(c.rel, _selector(local, c.mods))
+        lang = _trace_lang(c.trace, select)
+        mods = tuple(
+            (m, select(Var(m)), local.get(m) or p.var_type(m) or "int") for m in c.mods
+        )
+        retries = _SPEC_RETRIES if mods else 1
+        domain, pool = p.int_domain, p.int_pool
+
+        def spec(r: _Run, env: Env) -> None:
+            if not guard(env):
+                raise _Aborted()
+            for _ in range(retries):
+                candidate = {m: _sample_value(ty, r.rng, domain, pool) for m, _, ty in mods}
+                if rel((env[0], env[1], candidate)):
                     break
             else:
                 raise _OutOfFuel()  # no transition found within the retry bound
-        else:
-            if not evaluate(c.rel, pre, pre):
-                raise _OutOfFuel()
-        lang = eval_at(complete(c.trace), pre)
-        word = _sample_word(lang, self.rng)
-        if word is None:
-            raise _OutOfFuel()  # no trace permitted here: the statement is stuck
-        self.trace.extend(word)
+            allowed = lang(env)  # at the state before the update
+            for m, i, _ in mods:
+                env[i][m] = candidate[m]
+            word = _sample_word(allowed, r.rng)
+            if word is None:
+                raise _OutOfFuel()  # no trace permitted here: the statement is stuck
+            r.trace.extend(word)
+
+        return spec
 
 
 def run(
-    p: Program,
+    p: Union[Program, CompiledProgram],
     entry: str,
     s0: GroundState,
     seed: int,
@@ -198,38 +293,40 @@ def run(
 ) -> RunResult:
     """Execute `entry` from the pre-state `s0`, deterministically in `seed`.
 
-    `s0` must assign every global; entries for the procedure's locals are
-    honored as their arbitrary initial values.
+    `p` is a program, or one already compiled, as the oracle passes it to
+    run many times.  `s0` must assign every global; entries for the
+    procedure's locals are honored as their arbitrary initial values.
     """
-    proc = p.procedures.get(entry)
+    code = p if isinstance(p, CompiledProgram) else CompiledProgram(p)
+    prog = code.program
+    proc = prog.procedures.get(entry)
     if proc is None or proc.body is None:
         raise ValueError(f"no executable procedure {entry!r}")
-    ex = _Exec(p, random.Random(seed), fuel)
-    for name, gv in p.variables.items():
+    r = _Run(random.Random(seed), fuel)
+    for name, gv in prog.variables.items():
         if name in s0:
-            ex.globals[name] = s0[name]
+            r.globals[name] = s0[name]
         elif gv.init is not None:
-            ex.globals[name] = gv.init
+            r.globals[name] = gv.init
         else:
             raise ValueError(f"pre-state misses global {name!r}")
     frame_init = {k: v for k, v in s0.items() if k in proc.locals}
+    enter = code.procedures[entry]
     try:
-        frame = ex.exec_proc(proc, frame_init)
+        frame = enter(r, frame_init)
     except _Aborted:
-        return RunResult("aborted", None, tuple(ex.trace))
+        return RunResult("aborted", None, tuple(r.trace))
     except (_OutOfFuel, RecursionError):
         # a run deep enough to exhaust Python's stack is cut off like one that
         # exhausts its fuel
-        return RunResult("fuel", None, tuple(ex.trace))
-    final = dict(ex.globals)
+        return RunResult("fuel", None, tuple(r.trace))
+    final = dict(r.globals)
     final.update(frame)
-    return RunResult("stopped", final, tuple(ex.trace))
-
-
+    return RunResult("stopped", final, tuple(r.trace))
 @dataclass
 class Violation:
     run_seed: int
-    pre_state: dict[str, Union[bool, int]]
+    pre_state: dict[str, Value]
     trace: tuple[str, ...]
     reason: str  # "postcondition" | "trace" | "aborted"
     detail: str = ""
@@ -267,15 +364,19 @@ class OracleReport:
 
 
 def _sample_pre_state(
-    p: Program, proc: Procedure, rng: random.Random, attempts: int = 500
-) -> dict[str, Union[bool, int]]:
+    p: Program,
+    proc: Procedure,
+    requires: Callable[[tuple], bool],
+    rng: random.Random,
+    attempts: int = 500,
+) -> dict[str, Value]:
     for _ in range(attempts):
-        state: dict[str, Union[bool, int]] = {}
+        state: dict[str, Value] = {}
         for name, gv in p.variables.items():
             state[name] = _sample_value(gv.type, rng, p.int_domain, p.int_pool)
         for name, ty in proc.locals.items():
             state[name] = _sample_value(ty, rng, p.int_domain, p.int_pool)
-        if evaluate(proc.requires, state):
+        if requires((state, None)):
             return state
     raise NoSatisfyingState(
         f"no pre-state satisfying the precondition of {proc.name!r} "
@@ -296,18 +397,22 @@ def check_triple_random(
     each terminating run is checked against the postcondition and against
     membership of its trace in the contract's trace language evaluated at
     the final state.  Aborted runs count as violations; fuel-exhausted runs
-    are reported but not judged.
+    are reported but not judged.  The program and the contract are compiled
+    once, before the first run.
     """
     proc = p.procedures.get(entry)
     if proc is None or proc.body is None:
         raise ValueError(f"no executable procedure {entry!r}")
+    code = CompiledProgram(p)
+    requires = compile_formula(proc.requires, by_prime)
+    ensures = compile_formula(proc.ensures, by_prime)
+    contract_lang = _trace_lang(proc.trace, by_prime)
     report = OracleReport(entry=entry, runs=runs)
-    contract_lang = complete(proc.trace)
     for i in range(runs):
         run_seed = seed * 1_000_003 + i
         rng = random.Random(run_seed)
-        pre = _sample_pre_state(p, proc, rng)
-        result = run(p, entry, pre, run_seed ^ 0x5EED, fuel)
+        pre = _sample_pre_state(p, proc, requires, rng)
+        result = run(code, entry, pre, run_seed ^ 0x5EED, fuel)
         if result.outcome == "fuel":
             report.fuel_exhausted += 1
             continue
@@ -319,13 +424,13 @@ def check_triple_random(
         report.completed += 1
         assert result.state is not None
         final = result.state
-        if not evaluate(proc.ensures, pre, final):
+        if not ensures((pre, final)):
             report.violations.append(
                 Violation(run_seed, pre, result.trace, "postcondition",
                           f"final state {final}")
             )
             continue
-        allowed = eval_at(contract_lang, final)
+        allowed = contract_lang((final, None))
         if not rx.member(result.trace, allowed):
             report.violations.append(
                 Violation(run_seed, pre, result.trace, "trace",

@@ -258,9 +258,25 @@ def first(r: Regex) -> frozenset[str]:
     return r._first
 
 
+# (event, node) -> derivative; interned nodes hash by identity
+_derivatives: dict[tuple[str, Regex], Regex] = {}
+
+
 def derive(event: str, r: Regex) -> Regex:
     """Brzozowski derivative: the language of suffixes after a leading
-    occurrence of `event`."""
+    occurrence of `event`.
+
+    Memoized on the canonical, interned node, so a term is derived by each
+    event at most once (Owens, Reppy and Turon, 2009).
+    """
+    d = _derivatives.get((event, r))
+    if d is None:
+        d = _derivatives[event, r] = _derive(event, r)
+    return d
+
+
+def _derive(event: str, r: Regex) -> Regex:
+    # subterms go through the module's `derive`, and so through its memo
     if r is EMPTY or r is EPSILON:
         return EMPTY
     if isinstance(r, Symbol):

@@ -3,9 +3,10 @@ implementations and random generators.
 
 The enumeration oracle computes truncated languages by structural recursion
 over the regex, deliberately avoiding the derivative machinery it is used
-to check.  The references (`reference_included`, `reference_tokenize`,
-`ReferenceSolver`, `ReferenceVerifier`) are earlier, simpler versions of
-optimized code, kept so that property tests can compare the two.
+to check.  The references (`reference_evaluate`, `reference_included`,
+`reference_tokenize`, `ReferenceSolver`, `ReferenceVerifier`) are earlier,
+simpler versions of optimized code, kept so that property tests can compare
+the two.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from retrace.formula import (
     BoolRef,
     Cmp,
     Formula,
+    GroundState,
     Implies,
     Not,
     Or,
     Term,
+    UnboundVariable,
     Var,
     atom_vars,
     atoms,
@@ -122,6 +125,58 @@ def enum_subset(u: rx.Regex, v: rx.Regex, max_len: int) -> Optional[Word]:
         if diff:
             return min(diff)
     return None
+
+
+def _reference_lookup(v: Var, s: Optional[GroundState], sp: Optional[GroundState]):
+    env = sp if v.primed else s
+    val = None if env is None else env.get(v.name)
+    if val is None:
+        raise UnboundVariable(f"no value for {v}")
+    return val
+
+
+def reference_eval_term(t: Term, s: Optional[GroundState], sp: Optional[GroundState] = None) -> int:
+    """`formula.eval_term` as a loop over the coefficients."""
+    total = t.const
+    for v, c in t.coeffs:
+        val = _reference_lookup(v, s, sp)
+        if isinstance(val, bool):
+            raise UnboundVariable(f"{v} holds a boolean, expected an integer")
+        total += c * val
+    return total
+
+
+def reference_evaluate(
+    f: Formula, s: Optional[GroundState], sp: Optional[GroundState] = None
+) -> bool:
+    """`formula.evaluate` as a recursive walk over the formula, the
+    reference for the compiled evaluator: unprimed variables read from `s`,
+    primed from `sp`."""
+    if isinstance(f, BoolLit):
+        return f.value
+    if isinstance(f, BoolRef):
+        val = _reference_lookup(f.var, s, sp)
+        if not isinstance(val, bool):
+            raise UnboundVariable(f"{f.var} holds an integer, expected a boolean")
+        return val
+    if isinstance(f, Cmp):
+        a = reference_eval_term(f.lhs, s, sp)
+        b = reference_eval_term(f.rhs, s, sp)
+        if f.op == "==":
+            return a == b
+        if f.op == "!=":
+            return a != b
+        if f.op == "<":
+            return a < b
+        return a <= b
+    if isinstance(f, Not):
+        return not reference_evaluate(f.arg, s, sp)
+    if isinstance(f, And):
+        return all(reference_evaluate(a, s, sp) for a in f.args)
+    if isinstance(f, Or):
+        return any(reference_evaluate(a, s, sp) for a in f.args)
+    assert isinstance(f, Implies)
+    return (not reference_evaluate(f.lhs, s, sp)) or reference_evaluate(f.rhs, s, sp)
 
 
 def reference_included(u: rx.Regex, v: rx.Regex) -> rx.InclusionResult:

@@ -1,11 +1,21 @@
 from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_eval_term, reference_evaluate
 from retrace.formula import (
     FALSE,
     TRUE,
+    And,
+    BoolLit,
     BoolRef,
+    Cmp,
+    Implies,
+    Not,
+    Or,
+    Term,
     UnboundVariable,
     Var,
     atom_vars,
@@ -13,6 +23,7 @@ from retrace.formula import (
     cmp,
     conj,
     disj,
+    eval_term,
     evaluate,
     free_vars,
     implies,
@@ -129,6 +140,72 @@ def test_evaluate_primed_matches_unprimed_shifted():
     assert fp == conj(cmp("<", tvar("x", True), tconst(5)), bp)
     for s in ({"x": 3, "b": True}, {"x": 5, "b": True}, {"x": 3, "b": False}):
         assert evaluate(fp, None, s) == evaluate(f, s, None)
+
+
+# -- compiled evaluation against the recursive reference ---------------------
+
+_INTS, _BOOLS = ("x", "y"), ("b", "c")
+_int_vars = st.builds(Var, st.sampled_from(_INTS), st.booleans())
+_terms = st.builds(
+    lambda const, parts: sum((tvar(v.name, v.primed).scaled(c) for v, c in parts), tconst(const)),
+    st.integers(-4, 4),
+    st.lists(st.tuples(_int_vars, st.integers(-3, 3)), max_size=3),
+)
+_atoms = st.one_of(
+    st.builds(BoolLit, st.booleans()),
+    st.builds(BoolRef, st.builds(Var, st.sampled_from(_BOOLS), st.booleans())),
+    st.builds(Cmp, st.sampled_from(["==", "!=", "<", "<="]), _terms, _terms),
+)
+_formulas = st.recursive(
+    _atoms,
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        st.builds(Implies, sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _value(name: str):
+    """A value for `name`: mostly of its type, sometimes of the other type
+    or absent (None)."""
+    right = st.booleans() if name in _BOOLS else st.integers(-3, 3)
+    wrong = st.integers(-3, 3) if name in _BOOLS else st.booleans()
+    return st.one_of(right, right, right, wrong, st.none())
+
+
+_states = st.none() | st.fixed_dictionaries({n: _value(n) for n in _INTS + _BOOLS}).map(
+    lambda d: {k: v for k, v in d.items() if v is not None}
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnboundVariable:
+        return UnboundVariable
+
+
+@settings(max_examples=400, deadline=None)
+@given(_formulas, _states, _states)
+def test_compiled_evaluate_matches_reference(f, s, sp):
+    assert _outcome(evaluate, f, s, sp) == _outcome(reference_evaluate, f, s, sp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, _states, _states)
+def test_compiled_eval_term_matches_reference(t, s, sp):
+    assert _outcome(eval_term, t, s, sp) == _outcome(reference_eval_term, t, s, sp)
+
+
+def test_evaluate_rejects_mistyped_values():
+    with pytest.raises(UnboundVariable, match="holds an integer"):
+        evaluate(b, {"b": 1})
+    with pytest.raises(UnboundVariable, match="holds a boolean"):
+        evaluate(cmp("<", tvar("x"), tconst(1)), {"x": True})
+    assert evaluate(disj(b, cmp("<", tvar("x"), tconst(1))), {"b": True}) is True
 
 
 def test_free_vars():
