@@ -19,6 +19,7 @@ from typing import Callable, Optional, Union
 
 from . import regex as rx
 from .formula import (
+    Env,
     GroundState,
     Selector,
     Term,
@@ -42,7 +43,7 @@ from .lang import (
     SpecStmt,
     While,
 )
-from .tracespec import TraceSpec, complete
+from .tracespec import compile_spec, complete
 
 _SPEC_RETRIES = 64
 _WORD_CAP = 8
@@ -114,7 +115,6 @@ class _Run:
 
 
 # A compiled command runs on a run and an environment `(frame, globals)`.
-Env = tuple[dict[str, Value], dict[str, Value]]
 Code = Callable[[_Run, Env], None]
 
 
@@ -136,15 +136,6 @@ def _selector(local: dict[str, str], post: Optional[tuple[str, ...]] = None) -> 
         return 0 if v.name in local else 1
 
     return select
-
-
-def _trace_lang(spec: TraceSpec, select: Selector) -> Callable[[tuple], rx.Regex]:
-    """`eval_at(complete(spec), ...)` compiled once: the union of the
-    completed options whose guards hold."""
-    options = tuple(
-        (o.regex, compile_formula(o.guard, select)) for o in complete(spec).options
-    )
-    return lambda env: rx.choice(*(r for r, guard in options if guard(env)))
 
 
 class CompiledProgram:
@@ -257,7 +248,7 @@ class CompiledProgram:
         select = _selector(local)
         guard = compile_formula(c.guard, select)
         rel = compile_formula(c.rel, _selector(local, c.mods))
-        lang = _trace_lang(c.trace, select)
+        lang = compile_spec(complete(c.trace), select)
         mods = tuple(
             (m, select(Var(m)), local.get(m) or p.var_type(m) or "int") for m in c.mods
         )
@@ -406,7 +397,7 @@ def check_triple_random(
     code = CompiledProgram(p)
     requires = compile_formula(proc.requires, by_prime)
     ensures = compile_formula(proc.ensures, by_prime)
-    contract_lang = _trace_lang(proc.trace, by_prime)
+    contract_lang = compile_spec(complete(proc.trace), by_prime)
     report = OracleReport(entry=entry, runs=runs)
     for i in range(runs):
         run_seed = seed * 1_000_003 + i

@@ -10,17 +10,20 @@ over the guards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import regex as rx
 from .formula import (
     TRUE,
+    Env,
     Formula,
     GroundState,
+    Selector,
     Substitution,
+    by_prime,
+    compile_formula,
     conj,
     disj,
-    evaluate,
     neg,
     substitute,
 )
@@ -55,12 +58,19 @@ def plain(r: rx.Regex) -> TraceSpec:
     return TraceSpec((TraceOption(r, TRUE),))
 
 
+def compile_spec(spec: TraceSpec, select: Selector) -> Callable[[Env], rx.Regex]:
+    """Compile the guards once, as `compile_formula` does; the result maps
+    an environment to the union of the options whose guards hold there."""
+    options = tuple((o.regex, compile_formula(o.guard, select)) for o in spec.options)
+    return lambda env: rx.choice(*(r for r, guard in options if guard(env)))
+
+
 def eval_at(
     spec: TraceSpec, s: Optional[GroundState], sp: Optional[GroundState] = None
 ) -> rx.Regex:
     """Evaluate at a ground state: the union of options with a true guard,
     the empty language when none holds."""
-    return rx.choice(*(o.regex for o in spec.options if evaluate(o.guard, s, sp)))
+    return compile_spec(spec, by_prime)((s, sp))
 
 
 def complete(spec: TraceSpec) -> TraceSpec:
