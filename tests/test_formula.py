@@ -15,7 +15,6 @@ from retrace.formula import (
     Implies,
     Not,
     Or,
-    Term,
     UnboundVariable,
     Var,
     atom_vars,
