@@ -413,7 +413,9 @@ def compile_formula(f: Formula, select: Selector) -> Callable[[Env], bool]:
 
 
 def eval_term(t: Term, s: Optional[GroundState], sp: Optional[GroundState] = None) -> int:
-    """Ground evaluation of a term, as `evaluate` reads variables."""
+    """Ground evaluation of a term, as `evaluate` reads variables.  A
+    one-shot convenience that compiles `t` on every call; a caller that
+    evaluates a term repeatedly should hold a `compile_term` result."""
     return compile_term(t, by_prime)((s, sp))
 
 
@@ -421,7 +423,9 @@ def evaluate(
     f: Formula, s: Optional[GroundState], sp: Optional[GroundState] = None
 ) -> bool:
     """Ground evaluation: unprimed variables read from `s`, primed from `sp`,
-    by name; a missing or mis-typed value raises `UnboundVariable`."""
+    by name; a missing or mis-typed value raises `UnboundVariable`.  A
+    one-shot convenience that compiles `f` on every call; a caller that
+    evaluates a formula repeatedly should hold a `compile_formula` result."""
     return compile_formula(f, by_prime)((s, sp))
 
 

@@ -4,7 +4,7 @@ Two backends share one interface.  Both are sound: a definite sat/unsat
 answer is never wrong, and anything undecided is reported as unknown.
 
 The built-in backend is a small DPLL(T) search.  A formula is compiled
-once into negation normal form over its atoms, and each conjunct becomes a
+into negation normal form over its atoms, and each conjunct becomes a
 clause: the parts of one disjunction, each a literal or an and/or of parts,
 evaluated three-valued under the partial assignment.  Unit propagation
 assigns a clause's one open part when that part is a literal.  Atoms are
@@ -17,6 +17,20 @@ intervals; only a disequality that the model found violates is split into
 its two sides.  Every query has a step budget (DPLL decisions,
 Fourier-Motzkin combinations and the values the model search tries), and
 running out of it gives unknown.
+
+A built-in solver reuses work across the queries it answers, as an
+incremental DPLL(T) with push and pop does.  The verifier's queries share
+conjunct prefixes (a path condition, then the path and a branch test), so
+the solver keeps a trie of its queries keyed by their top-level
+conjuncts.  Each node holds its prefix compiled and unit-propagated, as a
+delta over its parent; a query compiles only the conjuncts past the
+longest prefix the trie holds and then searches, on a fresh budget, from
+that prefix's propagated state.  A query that ends at a node answered
+before gets that answer.  Atoms, and the linear constraints of their
+literals, are made once per solver.  Every answer and model is the one
+that compiling the whole formula afresh gives: the atoms keep their order
+of first occurrence, the clauses their deduplication, and propagation
+reaches the same assignment whatever order it runs in.
 
 The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 """
@@ -64,19 +78,13 @@ class EntailResult:
 
 
 class Solver:
-    """Interface shared by the built-in and external backends.  Results are
-    memoized per instance, and the memo never evicts."""
-
-    def __init__(self) -> None:
-        self._memo: dict[Formula, SatResult] = {}
+    """Interface shared by the built-in and external backends: both answer
+    whole formulas, and an entailment is one satisfiability query.  Both
+    answer a repeated query from what they kept of the first: the built-in
+    backend from its trie of queries, the external one from a memo.
+    Neither evicts."""
 
     def satisfiable(self, f: Formula) -> SatResult:
-        hit = self._memo.get(f)
-        if hit is None:
-            hit = self._memo[f] = self._decide(f)
-        return hit
-
-    def _decide(self, f: Formula) -> SatResult:
         raise NotImplementedError
 
     def entails(self, p: Formula, q: Formula) -> EntailResult:
@@ -92,9 +100,10 @@ class Solver:
 # Built-in backend
 # ---------------------------------------------------------------------------
 
-# A linear constraint `coeffs . vars <= bound` over the integers.  Inside a
-# query the integer variables are numbered in their sorted order.
-Coeffs = tuple[tuple[int, int], ...]
+# A linear constraint `coeffs . vars <= bound` over the integers.  A variable
+# is keyed by its name and prime, which sort as the variables do.
+_Key = tuple[str, bool]
+Coeffs = tuple[tuple[_Key, int], ...]
 Lin = tuple[Coeffs, int]
 # A conjunction of constraints, keeping the tightest bound for each
 # coefficient vector: a looser parallel bound never decides anything.
@@ -128,7 +137,7 @@ class _Steps:
             raise _OutOfSteps
 
 
-def _lin(coeffs: dict[int, int], bound: int) -> Optional[Lin]:
+def _lin(coeffs: dict[_Key, int], bound: int) -> Optional[Lin]:
     """Normalize with gcd tightening (valid over the integers): None when
     the constraint always holds, `_FALSE` when it never does."""
     items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
@@ -147,7 +156,7 @@ def _tighten(cons: Cons, lin: Lin) -> None:
         cons[coeffs] = bound
 
 
-def _eliminate(x: int, cons: Cons, steps: _Steps) -> Optional[Cons]:
+def _eliminate(x: _Key, cons: Cons, steps: _Steps) -> Optional[Cons]:
     """One Fourier-Motzkin step; returns None on contradiction.  Variables
     are eliminated smallest first, so x leads every constraint it is in."""
     pos: list[tuple[int, Lin]] = []
@@ -175,13 +184,13 @@ def _eliminate(x: int, cons: Cons, steps: _Steps) -> Optional[Cons]:
     return out
 
 
-def _project(cons: Cons, steps: _Steps) -> Optional[list[tuple[int, Cons]]]:
+def _project(cons: Cons, steps: _Steps) -> Optional[list[tuple[_Key, Cons]]]:
     """Fourier-Motzkin elimination of every variable, smallest first: the
     stages pair each variable with the constraints it was eliminated from.
     None when a contradiction is derived."""
     if () in cons:  # only _FALSE has no variables
         return None
-    stages: list[tuple[int, Cons]] = []
+    stages: list[tuple[_Key, Cons]] = []
     cur = cons
     for x in sorted({v for coeffs in cons for v, _ in coeffs}):
         stages.append((x, cur))
@@ -192,7 +201,7 @@ def _project(cons: Cons, steps: _Steps) -> Optional[list[tuple[int, Cons]]]:
     return stages
 
 
-def _bounds_for(x: int, cons: Cons, model: dict[int, int]) -> Optional[tuple[Optional[int], Optional[int]]]:
+def _bounds_for(x: _Key, cons: Cons, model: dict[_Key, int]) -> Optional[tuple[Optional[int], Optional[int]]]:
     """Integer bounds on x implied by `cons` once the other variables take
     their model values; None when already contradictory."""
     lo: Optional[int] = None
@@ -220,7 +229,7 @@ def _bounds_for(x: int, cons: Cons, model: dict[int, int]) -> Optional[tuple[Opt
     return lo, hi
 
 
-def _search_linear(cons: Cons, steps: _Steps) -> tuple[str, Optional[dict[int, int]]]:
+def _search_linear(cons: Cons, steps: _Steps) -> tuple[str, Optional[dict[_Key, int]]]:
     """Decide a conjunction of normalized integer linear inequalities.
 
     Fourier-Motzkin elimination with gcd tightening refutes; backtracking
@@ -234,7 +243,7 @@ def _search_linear(cons: Cons, steps: _Steps) -> tuple[str, Optional[dict[int, i
 
     incomplete = False
 
-    def assign(i: int, model: dict[int, int]) -> Optional[dict[int, int]]:
+    def assign(i: int, model: dict[_Key, int]) -> Optional[dict[_Key, int]]:
         nonlocal incomplete
         if i < 0:
             return model
@@ -278,7 +287,7 @@ def _search_linear(cons: Cons, steps: _Steps) -> tuple[str, Optional[dict[int, i
 
 
 # A disequality `coeffs . vars != k`, with its two sides `< k` and `> k`.
-_Diseq = tuple[tuple[tuple[int, int], ...], int, Lin, Lin]
+_Diseq = tuple[Coeffs, int, Lin, Lin]
 # What a comparison literal asks of the integers: a conjunction of
 # constraints, and a disequality or None.
 _Theory = tuple[tuple[Lin, ...], Optional[_Diseq]]
@@ -324,46 +333,147 @@ def _mentioned(t: object, out: set[int]) -> None:
             _mentioned(a, out)
 
 
+class _Atom:
+    """An atom as one solver knows it, shared by every prefix and query of
+    that solver: the formula and, for a comparison, its integer variables
+    by key and its literals' theories by polarity, made on first use."""
+
+    __slots__ = ("formula", "ints", "theories")
+
+    def __init__(self, formula: Formula) -> None:
+        self.formula = formula
+        self.ints: dict[_Key, Var] = {}
+        self.theories: Optional[list[Optional[_Theory]]] = None
+        if isinstance(formula, Cmp):
+            self.ints = {(v.name, v.primed): v for v in atom_vars(formula)}
+            self.theories = [None, None]
+
+
+class _Prefix:
+    """A node of a solver's trie of queries, which is keyed by top-level
+    conjuncts: the conjunction of the conjuncts on the way from the root,
+    compiled and unit-propagated.  It is stored as a delta over its parent:
+    the atoms and clauses its conjunct adds, the atoms each new clause
+    mentions, and the literals and clauses that propagation then assigned
+    and satisfied.  `result` is the answer to a query that ends here, and a
+    refuted prefix, one that propagation found contradictory, answers unsat
+    to every query through it.
+
+    Children are found by the conjunct's identity first, and by equality
+    only when that fails: a path extended by `conj` reuses its conjunct
+    objects, and hashing a formula walks all of it.  `children` keeps each
+    conjunct alive, so an id in `by_id` is not reused while the trie lives."""
+
+    __slots__ = ("parent", "children", "by_id", "result", "refuted", "atoms", "clauses", "mentions", "assigned",
+                 "satisfied")
+
+    def __init__(self, parent: Optional[_Prefix]) -> None:
+        self.parent = parent
+        self.children: dict[Formula, _Prefix] = {}
+        self.by_id: dict[int, _Prefix] = {}
+        self.result: Optional[SatResult] = None
+        self.refuted = False
+        self.atoms: tuple[_Atom, ...] = ()
+        self.clauses: tuple[tuple, ...] = ()
+        self.mentions: tuple[tuple[int, ...], ...] = ()
+        self.assigned: tuple[int, ...] = ()  # literals `i` or `~i`, in trail order
+        self.satisfied: tuple[int, ...] = ()
+
+
 class _Query:
     """One satisfiability query: DPLL with unit propagation over the clauses
     of the formula's negation normal form, Fourier-Motzkin refutation of the
     comparisons assigned so far, and lazy disequality splits at the leaves.
 
-    Atoms are decided in order of first occurrence, true first, and a leaf
-    is a prefix of that order under which the formula is true, so the
-    first model found does not depend on what propagation or the theory
-    checks prune.
+    A query starts from the compiled, propagated state of a prefix and
+    pushes the conjuncts the trie does not hold yet.  Atoms are decided in
+    order of first occurrence, true first, and a leaf is a prefix of that
+    order under which the formula is true, so the first model found does
+    not depend on what propagation or the theory checks prune.
     """
 
-    def __init__(self, f: Formula) -> None:
-        self.steps = _Steps()
-        self.atoms: list[Formula] = []
-        self.index: dict[Formula, int] = {}
+    def __init__(self, node: _Prefix, known: dict[Formula, _Atom]) -> None:
+        self.known = known
+        chain = []
+        n: Optional[_Prefix] = node
+        while n is not None:
+            chain.append(n)
+            n = n.parent
+        self.atoms: list[_Atom] = []
         # the formula's conjuncts, each as the parts of a disjunction
-        self.clauses = [_parts(c, True) for c in _parts(self._nnf(f, True), False)]
+        self.clauses: list[tuple] = []
+        mentions: list[tuple[int, ...]] = []
+        assigned: list[int] = []
+        self.sat_trail: list[int] = []
+        for n in reversed(chain):
+            self.atoms += n.atoms
+            self.clauses += n.clauses
+            mentions += n.mentions
+            assigned += n.assigned
+            self.sat_trail += n.satisfied
         self.occ: list[list[int]] = [[] for _ in self.atoms]
-        for c, parts in enumerate(self.clauses):
+        for c, mentioned in enumerate(mentions):
+            for i in mentioned:
+                self.occ[i].append(c)
+        self.val: list[Optional[bool]] = [None] * len(self.atoms)
+        self.trail: list[int] = []
+        for lit in assigned:
+            i = lit if lit >= 0 else ~lit
+            self.val[i] = lit >= 0
+            self.trail.append(i)
+        self.sat = [False] * len(self.clauses)
+        for c in self.sat_trail:
+            self.sat[c] = True
+        # what `push` needs to compile, made on its first call
+        self.index: Optional[dict[_Atom, int]] = None
+        self.seen: set[tuple] = set()
+
+    def push(self, parent: _Prefix, conjunct: Formula) -> _Prefix:
+        """Compile `conjunct` onto this query's prefix `parent`, propagate,
+        and record the delta as `parent`'s child."""
+        if self.index is None:
+            self.index = {a: i for i, a in enumerate(self.atoms)}
+            self.seen = set(self.clauses)
+        node = parent.children[conjunct] = parent.by_id[id(conjunct)] = _Prefix(parent)
+        na, nc, nt, ns = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
+        # a clause is its NNF part's disjuncts, which tell parts apart, so
+        # this is the deduplication of the whole formula's NNF
+        for p in _parts(self._nnf(conjunct, True), False):
+            clause = _parts(p, True)
+            if clause not in self.seen:
+                self.seen.add(clause)
+                self.clauses.append(clause)
+        self.val += [None] * (len(self.atoms) - na)
+        self.occ += [[] for _ in range(len(self.atoms) - na)]
+        self.sat += [False] * (len(self.clauses) - nc)
+        mentions = []
+        for c in range(nc, len(self.clauses)):
             mentioned: set[int] = set()
-            for p in parts:
+            for p in self.clauses[c]:
                 _mentioned(p, mentioned)
             for i in mentioned:
                 self.occ[i].append(c)
-        self.ints = sorted({v for a in self.atoms if isinstance(a, Cmp) for v in atom_vars(a)})
-        self.ids = {v: n for n, v in enumerate(self.ints)}
-        # per comparison atom, its literals' theories by polarity, made on first use
-        self.theories: list[Optional[list[Optional[_Theory]]]] = [
-            [None, None] if isinstance(a, Cmp) else None for a in self.atoms
-        ]
-        self.val: list[Optional[bool]] = [None] * len(self.atoms)
-        self.trail: list[int] = []
-        self.sat = [False] * len(self.clauses)
-        self.sat_trail: list[int] = []
+            mentions.append(tuple(mentioned))
+        if not all(self.sat[c] or self._settle(c) for c in range(nc, len(self.clauses))) or not self._propagate(nt):
+            node.refuted = True
+            node.result = SatResult("unsat")
+            return node
+        node.atoms = tuple(self.atoms[na:])
+        node.clauses = tuple(self.clauses[nc:])
+        node.mentions = tuple(mentions)
+        node.assigned = tuple(i if self.val[i] else ~i for i in self.trail[nt:])
+        node.satisfied = tuple(self.sat_trail[ns:])
+        return node
 
     def _atom(self, a: Formula) -> int:
-        i = self.index.get(a)
+        atom = self.known.get(a)
+        if atom is None:
+            atom = self.known[a] = _Atom(a)
+        assert self.index is not None
+        i = self.index.get(atom)
         if i is None:
-            i = self.index[a] = len(self.atoms)
-            self.atoms.append(a)
+            i = self.index[atom] = len(self.atoms)
+            self.atoms.append(atom)
         return i
 
     def _nnf(self, g: Formula, pos: bool) -> object:
@@ -398,11 +508,9 @@ class _Query:
     # -- search -------------------------------------------------------------
 
     def run(self) -> SatResult:
+        """Search below the prefix's propagated state, on a fresh budget."""
+        self.steps = _Steps()
         try:
-            if not all(self.sat[c] or self._settle(c) for c in range(len(self.clauses))):
-                return SatResult("unsat")
-            if not self._propagate(0):
-                return SatResult("unsat")
             status, model = self._search(0, 0)
         except _OutOfSteps:
             return SatResult("unknown", diagnostic=f"step budget of {_STEP_BUDGET} exhausted")
@@ -476,14 +584,14 @@ class _Query:
     def _theory(self, i: int) -> Optional[_Theory]:
         """What the assigned literal of atom i asks of the integers; None
         for a boolean variable."""
-        by_value = self.theories[i]
-        if by_value is None:
+        atom = self.atoms[i]
+        if atom.theories is None:
             return None
         value = self.val[i]
         assert value is not None
-        th = by_value[value]
+        th = atom.theories[value]
         if th is None:
-            th = by_value[value] = _theory_of(self.atoms[i], value, self.ids)  # type: ignore[arg-type]
+            th = atom.theories[value] = _theory_of(atom.formula, value)  # type: ignore[arg-type]
         return th
 
     def _constraints(self, assigned: Iterable[int]) -> tuple[Cons, list[_Diseq]]:
@@ -517,11 +625,17 @@ class _Query:
         if status != "sat":
             return status, None
         assert intmodel is not None
-        model: Model = {a.var: self.val[i] is True for i, a in enumerate(self.atoms) if isinstance(a, BoolRef)}
-        model.update((v, intmodel.get(n, 0)) for n, v in enumerate(self.ints))
+        model: Model = {}
+        ints: dict[_Key, Var] = {}
+        for i, atom in enumerate(self.atoms):
+            if atom.theories is None:
+                model[atom.formula.var] = self.val[i] is True  # type: ignore[attr-defined]
+            else:
+                ints.update(atom.ints)
+        model.update((ints[k], intmodel.get(k, 0)) for k in sorted(ints))
         return "sat", model
 
-    def _split(self, cons: Cons, diseqs: list[_Diseq]) -> tuple[str, Optional[dict[int, int]]]:
+    def _split(self, cons: Cons, diseqs: list[_Diseq]) -> tuple[str, Optional[dict[_Key, int]]]:
         """Decide `cons` and `diseqs` by solving `cons` alone and splitting
         only on a disequality its model violates, or, when `cons` is
         undecided, on the first one."""
@@ -547,13 +661,14 @@ class _Query:
         return ("unknown" if unknown else "unsat"), None
 
 
-def _theory_of(atom: Cmp, value: bool, ids: dict[Var, int]) -> _Theory:
+def _theory_of(atom: Cmp, value: bool) -> _Theory:
     """What the literal `atom` (negated unless `value`) asks of the integers."""
-    diff: dict[int, int] = {}
+    diff: dict[_Key, int] = {}
     for v, c in atom.lhs.coeffs:
-        diff[ids[v]] = c
+        diff[v.name, v.primed] = c
     for v, c in atom.rhs.coeffs:
-        diff[ids[v]] = diff.get(ids[v], 0) - c
+        key = v.name, v.primed
+        diff[key] = diff.get(key, 0) - c
     k = atom.rhs.const - atom.lhs.const  # the literal compares diff . vars with k
     flipped = {v: -c for v, c in diff.items()}
     op = atom.op if value else _NEGATED[atom.op]
@@ -576,10 +691,33 @@ def _theory_of(atom: Cmp, value: bool, ids: dict[Var, int]) -> _Theory:
 
 class BuiltinSolver(Solver):
     """Self-contained decision procedure for booleans plus linear integer
-    arithmetic."""
+    arithmetic.
 
-    def _decide(self, f: Formula) -> SatResult:
-        return _Query(f).run()
+    A solver keeps its queries in a trie keyed by their top-level
+    conjuncts, so a query compiles only the conjuncts past the longest
+    prefix an earlier query compiled, and a repeated query is answered
+    from its node.  Its atoms, with their theories, are shared by all its
+    queries.  Trie and atoms live as long as the solver."""
+
+    def __init__(self) -> None:
+        self._atoms: dict[Formula, _Atom] = {}
+        self._root = _Prefix(None)
+
+    def satisfiable(self, f: Formula) -> SatResult:
+        node = self._root
+        query: Optional[_Query] = None
+        for c in f.args if isinstance(f, And) else (f,):
+            if node.refuted:
+                break
+            child = node.by_id.get(id(c)) or node.children.get(c)
+            if child is None:
+                if query is None:
+                    query = _Query(node, self._atoms)
+                child = query.push(node, c)
+            node = child
+        if node.result is None:
+            node.result = (query or _Query(node, self._atoms)).run()
+        return node.result
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +785,17 @@ class SmtLibSolver(Solver):
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
-        super().__init__()
         self.command = shlex.split(command)
         if not self.command:
             raise ValueError("empty solver command")
         self.timeout = timeout
+        self._memo: dict[Formula, SatResult] = {}
+
+    def satisfiable(self, f: Formula) -> SatResult:
+        hit = self._memo.get(f)
+        if hit is None:
+            hit = self._memo[f] = self._decide(f)
+        return hit
 
     def _decide(self, f: Formula) -> SatResult:
         script = to_smtlib(f)

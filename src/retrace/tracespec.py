@@ -69,7 +69,9 @@ def eval_at(
     spec: TraceSpec, s: Optional[GroundState], sp: Optional[GroundState] = None
 ) -> rx.Regex:
     """Evaluate at a ground state: the union of options with a true guard,
-    the empty language when none holds."""
+    the empty language when none holds.  A one-shot convenience that
+    compiles the guards on every call; a caller that evaluates a
+    specification repeatedly should hold a `compile_spec` result."""
     return compile_spec(spec, by_prime)((s, sp))
 
 

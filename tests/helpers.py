@@ -397,9 +397,10 @@ def brute_force_sat(f: Formula, names: list[str], lo: int = -8, hi: int = 8):
 
 # -- reference solver --------------------------------------------------------
 #
-# Kept verbatim apart from the class name, the memo it now inherits from
-# `Solver`, and this comment; its helpers use the module's own namespace, so
-# `retrace.solver` can change freely.
+# Kept verbatim apart from the class name, its entry point (`satisfiable`,
+# unmemoized, where it was the memoized `_decide`), and this comment; its
+# helpers use the module's own namespace, so `retrace.solver` can change
+# freely.
 
 # A linear constraint `coeffs . vars <= bound` over the integers.
 Lin = tuple[tuple[tuple[Var, int], ...], int]
@@ -597,7 +598,7 @@ class ReferenceSolver(Solver):
     The reference for `BuiltinSolver`'s verdicts; exponential in the
     disequalities, so it only suits small formulas."""
 
-    def _decide(self, f: Formula) -> SatResult:
+    def satisfiable(self, f: Formula) -> SatResult:
         f_atoms = atoms(f)
 
         def eval_partial(g: Formula, asn: dict[Formula, bool]) -> Optional[bool]:

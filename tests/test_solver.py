@@ -1,7 +1,9 @@
 import json
 import random
+import re
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from retrace.corpus import CORPUS, MUTANTS, load_corpus
 from retrace.formula import (
     FALSE,
     TRUE,
+    And,
     BoolRef,
     Cmp,
     Var,
@@ -21,6 +24,7 @@ from retrace.formula import (
     conj,
     disj,
     evaluate,
+    free_vars,
     implies,
     neg,
     tconst,
@@ -227,12 +231,12 @@ _INT_NAMES = ("x", "y", "z")
 
 
 @st.composite
-def _lia_formulas(draw):
+def _lia_formulas(draw, names=_INT_NAMES):
     """Formulas over booleans and unbounded integers with `==>`, `||`, `&&`
     and `!`, and at most four (dis)equality atoms."""
     def term():
         t = tconst(draw(st.integers(-6, 6)))
-        for name in _INT_NAMES:
+        for name in names:
             t = t + tvar(name).scaled(draw(st.integers(-2, 2)))
         return t
 
@@ -266,6 +270,67 @@ def test_agrees_with_reference_solver(f):
         assert want.status == "unknown"
     if got.status == "sat":
         assert _satisfied_by(f, got.model)
+
+
+# -- one solver, many queries ---------------------------------------------------
+
+
+def _answer(r):
+    """Status, diagnostic and model of an answer, the model in its order."""
+    return r.status, r.diagnostic, None if r.model is None else list(r.model.items())
+
+
+@st.composite
+def _prefix_streams(draw):
+    """A path of conjuncts and a stream of queries on its prefixes, some of
+    them repeated: ("sat", k, e) asks `path[:k] && e`, and ("entails", k, e)
+    asks whether `path[:k]` entails `e`.  An extra may mention `w`, which
+    sorts before the path's variables."""
+    path = draw(st.lists(_lia_formulas(("x", "y")), min_size=1, max_size=4))
+    extras = draw(st.lists(_lia_formulas(("w", "x", "y")), min_size=1, max_size=3))
+    queries = st.tuples(st.sampled_from(["sat", "entails"]), st.integers(0, len(path)), st.sampled_from(extras))
+    stream = draw(st.lists(queries, min_size=1, max_size=8))
+    return path, stream + stream[: draw(st.integers(0, len(stream)))]
+
+
+def _ask(solver, path, query):
+    kind, k, extra = query
+    if kind == "sat":
+        return solver.satisfiable(conj(*path[:k], extra))
+    return solver.entails(conj(*path[:k]), extra)
+
+
+@pytest.mark.parametrize("budget", [solver_module._STEP_BUDGET, 12])
+@given(_prefix_streams())
+@settings(max_examples=60, deadline=None)
+def test_one_solver_answers_a_stream_as_fresh_solvers_do(budget, stream):
+    """What one solver reuses across queries that share prefixes changes no
+    status, model or diagnostic; with a small step budget some answers are
+    unknown, and those too are the fresh solver's, never a wrong unsat."""
+    path, queries = stream
+    full = [_answer(_ask(BuiltinSolver(), path, q)) for q in queries]
+    with patch.object(solver_module, "_STEP_BUDGET", budget):
+        shared = BuiltinSolver()
+        for q, want_full in zip(queries, full):
+            got = _answer(_ask(shared, path, q))
+            assert got == _answer(_ask(BuiltinSolver(), path, q))
+            assert got[0] in (want_full[0], "unknown")
+
+
+def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart():
+    a, b_int, x, y = tvar("a"), tvar("b"), tvar("x"), tvar("y")
+    b_small = cmp("<=", b_int, tconst(0))
+    path = conj(cmp("<=", x, y), boolref("p"))
+    queries = [
+        b_small,  # b is the query's only integer variable
+        conj(cmp("<=", tconst(5), a), b_small),  # the same atom, with a sorted before b
+        conj(path, cmp("<", y, x)),  # one prefix, then two different extras
+        conj(path, cmp("==", x, y)),
+    ]
+    shared = BuiltinSolver()
+    got = [_answer(shared.satisfiable(f)) for f in queries]
+    assert got == [_answer(BuiltinSolver().satisfiable(f)) for f in queries]
+    assert [status for status, _, _ in got] == ["sat", "sat", "unsat", "sat"]
 
 
 SOLVER_GOLDEN = Path(__file__).parent / "golden" / "solver_answers.jsonl"
@@ -364,6 +429,38 @@ def test_external_solver_garbage_is_unknown(tmp_path):
     s = SmtLibSolver(_stub(tmp_path, "print('maybe so')"))
     r = s.satisfiable(b)
     assert r.status == "unknown"
+
+
+def test_external_solver_gets_whole_formulas(tmp_path):
+    """Prefix reuse stays inside the built-in solver: every script the
+    external one gets declares all of its query's variables and asserts all
+    of its conjuncts, also when the query extends an earlier one."""
+    log = tmp_path / "scripts.log"
+    cmdline = _stub(
+        tmp_path,
+        "import sys\n"
+        f"with open({str(log)!r}, 'a') as fh:\n"
+        "    fh.write(sys.stdin.read() + '\\0')\n"
+        "print('sat')\n",
+    )
+    queries = []
+
+    class Logged(SmtLibSolver):
+        def _decide(self, f):
+            queries.append(f)
+            return super()._decide(f)
+
+    Verifier(load_corpus("casino_rec"), Logged(cmdline)).verify_program()
+    scripts = log.read_text().split("\0")[:-1]
+    assert len(scripts) == len(queries) > 1
+    for f, script in zip(queries, scripts):
+        declared = re.findall(r"^\(declare-const (\|[^|]*\|) (?:Bool|Int)\)$", script, re.M)
+        assert sorted(declared) == sorted(f"|{v}|" for v in free_vars(f))
+        assert script.count("(assert ") == 1
+        for c in f.args if isinstance(f, And) else (f,):
+            assert solver_module._smt_formula(c) in script
+    conjuncts = [f.args if isinstance(f, And) else (f,) for f in queries]
+    assert any(later[: len(earlier)] == earlier for i, earlier in enumerate(conjuncts) for later in conjuncts[i + 1:])
 
 
 def test_external_solver_missing_binary():
