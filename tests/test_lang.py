@@ -1,11 +1,13 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from retrace import regex as rx
 from retrace.corpus import CORPUS, MUTANTS, path
-from retrace.formula import TRUE, BoolRef, Var, cmp, neg, tconst, tvar
-from helpers import reference_tokenize
+from retrace.formula import TRUE, BoolRef, Var, cmp, neg, render_formula, tconst, tvar
+from helpers import random_formula, reference_tokenize
 from retrace.lang import (
     KEYWORDS,
     Assign,
@@ -180,6 +182,16 @@ def test_bool_int_mixing_is_type_error():
         parse("events a;\nbool f;\nproc q() { if (f < 3) { } }")
 
 
+def test_rendered_formulas_parse_back():
+    # pins precedence and associativity: a right-associative `-` would misread
+    # `x - y - z`, a left-associative `==>` would misread `a ==> b ==> c`
+    rng = random.Random(11)
+    for _ in range(2000):
+        f = random_formula(rng, ["x", "y", "z"], depth=4)
+        src = f"int x; int y; int z;\nproc q() _(requires {render_formula(f)}) ;"
+        assert parse(src).procedures["q"].requires == f, render_formula(f)
+
+
 def test_syntax_error_has_position():
     with pytest.raises(ParseError) as exc:
         parse("events a;\nproc q() { emit }")
@@ -211,7 +223,10 @@ def test_mixed_local_and_full_history_rejected():
 # Every raise site of the lexer and the parser, with the exception class and
 # `str(exc)` ("line:col: msg") that the parser gave when this table was made.
 # Regenerate after a deliberate change with `PYTHONPATH=src python tests/test_lang.py`,
-# which prints the table for the current source.
+# which prints the table for the current source.  The last seven rows each pair
+# a wrongly typed left operand with a missing right one, so they pin when each
+# operator checks its operands: `&&`, `||`, `+` and `-` at the operator, and
+# `==>`, the comparisons and `*` after parsing the right operand.
 PARSE_ERRORS = [
     ('events a, b;\nproc q() { @ }', ParseError, "2:12: unexpected character '@'"),
     ('events a; #', ParseError, "1:11: unexpected character '#'"),
@@ -294,6 +309,13 @@ PARSE_ERRORS = [
     ('events a, b;\nint x;\nproc q() { while (true) _(trace a if x) { } }', TypeMismatch, '3:38: expected a boolean expression'),
     ("events a, b;\nint x;\nproc q() { while (true) _(trace a) _(invariant x' == 0) { } }", ParseError, '3:48: primed variables are only allowed in ensures clauses'),
     ('events a, b;\nproc q() { while (true) _(trace a if true) _(trace local a) { } }', ParseError, '2:59: cannot mix local and full-history trace annotations'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { if (x && ) { } }', TypeMismatch, '4:18: expected a boolean operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { if (x || ) { } }', TypeMismatch, '4:18: expected a boolean operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { if (x ==> ) { } }', ParseError, "4:22: expected an expression, found ')'"),
+    ('events a, b;\nbool f;\nint x;\nproc q() { if (f < ) { } }', ParseError, "4:20: expected an expression, found ')'"),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = f + ; }', TypeMismatch, '4:18: expected an integer operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = f - ; }', TypeMismatch, '4:18: expected an integer operand'),
+    ('events a, b;\nbool f;\nint x;\nproc q() { x = f * ; }', ParseError, "4:20: expected an expression, found ';'"),
 ]
 
 
