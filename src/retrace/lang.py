@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from . import regex as rx
 from .formula import (
@@ -267,9 +267,11 @@ def tokenize(src: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-Typed = tuple[str, Union[Term, Formula]]  # ("int", Term) | ("bool", Formula)
-
 _COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+
+# Binding powers of the binary operators; `==>` is right-associative, the
+# others left-associative, and comparisons do not chain.
+_BINDING = {"==>": 0, "||": 1, "&&": 2, **dict.fromkeys(_COMPARISONS, 3), "+": 4, "-": 4, "*": 5}
 
 
 class _Parser:
@@ -392,9 +394,9 @@ class _Parser:
         self._check_fresh(t)
         init: Optional[Union[bool, int]] = None
         if self.accept("="):
-            kind, val = self.parse_expression()
-            if kind != ty:
-                raise TypeMismatch(f"initializer for {ty} variable {t.text!r} has type {kind}", t.line, t.col)
+            val = self.parse_expression()
+            if _type(val) != ty:
+                raise TypeMismatch(f"initializer for {ty} variable {t.text!r} has type {_type(val)}", t.line, t.col)
             if isinstance(val, Term) and val.is_const():
                 init = val.const
             elif isinstance(val, BoolLit):
@@ -517,10 +519,10 @@ class _Parser:
             self.expect("(")
             self.expect(")")
             return Havoc(name.text, span=sp)
-        kind, val = self.parse_expression()
-        if kind != ty:
+        val = self.parse_expression()
+        if _type(val) != ty:
             raise TypeMismatch(
-                f"cannot assign {kind} expression to {ty} variable {name.text!r}",
+                f"cannot assign {_type(val)} expression to {ty} variable {name.text!r}",
                 name.line,
                 name.col,
             )
@@ -592,9 +594,6 @@ class _Parser:
     # regular expressions
 
     def parse_regex(self) -> rx.Regex:
-        return self._re_alt()
-
-    def _re_alt(self) -> rx.Regex:
         parts = [self._re_cat()]
         while self.accept("|"):
             parts.append(self._re_cat())
@@ -623,7 +622,7 @@ class _Parser:
         if self.accept("("):
             if self.accept(")"):
                 return rx.EPSILON
-            r = self._re_alt()
+            r = self.parse_regex()
             self.expect(")")
             return r
         raise ParseError(f"expected a regular expression, found {t.text!r}", t.line, t.col)
@@ -634,99 +633,45 @@ class _Parser:
         t = self.peek()
         return self._as_bool(self.parse_expression(), t, "expression")
 
-    def parse_expression(self) -> Typed:
-        return self._imp()
-
-    def _imp(self) -> Typed:
-        lhs = self._or()
-        if self.at("==>"):
-            t = self.next()
-            rhs = self._imp()
-            return "bool", implies(self._as_bool(lhs, t), self._as_bool(rhs, t))
-        return lhs
-
-    def _or(self) -> Typed:
-        return self._nary("||", self._and, disj)
-
-    def _and(self) -> Typed:
-        return self._nary("&&", self._cmp, conj)
-
-    def _nary(self, op: str, operand: Callable[[], Typed], build: Callable[..., Formula]) -> Typed:
-        first_ = operand()
-        if not self.at(op):
-            return first_
-        parts = [self._as_bool(first_, self.peek())]
-        while tok := self.accept(op):
-            parts.append(self._as_bool(operand(), tok))
-        return "bool", build(*parts)
-
-    def _cmp(self) -> Typed:
-        lhs = self._add()
-        t = self.peek()
-        if t.text not in _COMPARISONS:
-            return lhs
-        op = self.next().text
-        rhs = self._add()
-        a = self._as_int(lhs, t)
-        b = self._as_int(rhs, t)
-        if op == ">":
-            op, a, b = "<", b, a
-        elif op == ">=":
-            op, a, b = "<=", b, a
-        t2 = self.peek()
-        if t2.text in _COMPARISONS:
-            raise ParseError("comparisons cannot be chained", t2.line, t2.col)
-        return "bool", cmp(op, a, b)
-
-    def _add(self) -> Typed:
-        acc = self._mul()
-        while self.at("+") or self.at("-"):
-            t = self.next()
-            a = self._as_int(acc, t)
-            b = self._as_int(self._mul(), t)
-            acc = ("int", a + b if t.text == "+" else a - b)
-        return acc
-
-    def _mul(self) -> Typed:
+    def parse_expression(self, min_bp: int = 0) -> Union[Term, Formula]:
+        """Precedence climbing over `_BINDING`.  `&&`, `||`, `+` and `-` check
+        their left operand at the operator before parsing the right one; the
+        other operators check both operands after it."""
         lhs = self._unary()
-        while self.at("*"):
+        while (bp := _BINDING.get(self.peek().text, -1)) >= min_bp:
             t = self.next()
-            rhs = self._unary()
-            a = self._as_int(lhs, t)
-            b = self._as_int(rhs, t)
-            if a.is_const():
-                lhs = ("int", b.scaled(a.const))
-            elif b.is_const():
-                lhs = ("int", a.scaled(b.const))
-            else:
-                raise ParseError("only linear terms are supported", t.line, t.col)
+            check = self._as_bool if bp < 3 else self._as_int
+            if t.text in ("&&", "||", "+", "-"):
+                check(lhs, t)
+            rhs = self.parse_expression(bp if t.text == "==>" else bp + 1)
+            args = [check(lhs, t), check(rhs, t)]
+            while t.text in ("||", "&&") and (u := self.accept(t.text)):  # one node per run
+                args.append(check(self.parse_expression(bp + 1), u))
+            lhs = _binary(t, *args)
+            t2 = self.peek()
+            if bp == 3 and t2.text in _COMPARISONS:
+                raise ParseError("comparisons cannot be chained", t2.line, t2.col)
         return lhs
 
-    def _unary(self) -> Typed:
+    def _unary(self) -> Union[Term, Formula]:
         t = self.peek()
         if self.accept("!"):
-            inner = self._unary()
-            return "bool", neg(self._as_bool(inner, t))
+            return neg(self._as_bool(self._unary(), t))
         if self.accept("-"):
-            inner = self._unary()
-            return "int", -self._as_int(inner, t)
+            return -self._as_int(self._unary(), t)
         return self._primary()
 
-    def _primary(self) -> Typed:
+    def _primary(self) -> Union[Term, Formula]:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return "int", tconst(int(t.text))
+            return tconst(int(t.text))
         if self.accept("true"):
-            return "bool", TRUE
+            return TRUE
         if self.accept("false"):
-            return "bool", FALSE
+            return FALSE
         if self.at("nondet"):
-            raise ParseError(
-                "nondet() is only allowed as the right-hand side of an assignment",
-                t.line,
-                t.col,
-            )
+            raise ParseError("nondet() is only allowed as the right-hand side of an assignment", t.line, t.col)
         if self.accept("("):
             inner = self.parse_expression()
             self.expect(")")
@@ -737,14 +682,12 @@ class _Parser:
             self.next()
             primed = t.kind == "pident"
             if primed and not self.allow_primed:
-                raise ParseError(
-                    "primed variables are only allowed in ensures clauses", t.line, t.col
-                )
+                raise ParseError("primed variables are only allowed in ensures clauses", t.line, t.col)
             if not primed and t.text in self.consts:
-                return "int", tconst(self.consts[t.text])
+                return tconst(self.consts[t.text])
             if self._var_type(t) == "bool":
-                return "bool", BoolRef(Var(t.text, primed))
-            return "int", tvar(t.text, primed)
+                return BoolRef(Var(t.text, primed))
+            return tvar(t.text, primed)
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
 
     def _var_type(self, name: Token) -> str:
@@ -755,19 +698,39 @@ class _Parser:
             raise UndeclaredVariable(f"variable {name.text!r} not declared", name.line, name.col)
         return ty
 
-    def _as_bool(self, tv: Typed, t: Token, what: str = "operand") -> Formula:
-        kind, val = tv
-        if kind != "bool":
+    def _as_bool(self, e: Union[Term, Formula], t: Token, what: str = "operand") -> Formula:
+        if not isinstance(e, Formula):
             raise TypeMismatch(f"expected a boolean {what}", t.line, t.col)
-        assert isinstance(val, Formula)
-        return val
+        return e
 
-    def _as_int(self, tv: Typed, t: Token) -> Term:
-        kind, val = tv
-        if kind != "int":
+    def _as_int(self, e: Union[Term, Formula], t: Token) -> Term:
+        if not isinstance(e, Term):
             raise TypeMismatch("expected an integer operand", t.line, t.col)
-        assert isinstance(val, Term)
-        return val
+        return e
+
+
+def _type(e: Union[Term, Formula]) -> str:
+    return "int" if isinstance(e, Term) else "bool"
+
+
+def _binary(t: Token, a: Any, b: Any, *more: Formula) -> Union[Term, Formula]:
+    """`a op b` for the operator token `t`, on operands of the checked type."""
+    op = t.text
+    if op == "==>":
+        return implies(a, b)
+    if op in ("||", "&&"):
+        return (disj if op == "||" else conj)(a, b, *more)
+    if op in ("+", "-"):
+        return a + b if op == "+" else a - b
+    if op == "*":
+        if a.is_const():
+            return b.scaled(a.const)
+        if b.is_const():
+            return a.scaled(b.const)
+        raise ParseError("only linear terms are supported", t.line, t.col)
+    if op in (">", ">="):  # a > b is b < a
+        op, a, b = op.replace(">", "<"), b, a
+    return cmp(op, a, b)
 
 
 def parse(src: str, source: str = "<input>") -> Program:

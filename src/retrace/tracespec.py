@@ -101,15 +101,6 @@ class InclusionCase:
     witness: Optional[rx.Word] = None
     note: Optional[str] = None
 
-    def describe(self) -> str:
-        verdict = "holds" if self.holds else "FAILS"
-        s = f"{rx.render(self.lhs)} ⊑ {rx.render(self.rhs)} [{verdict}]"
-        if self.witness is not None:
-            s += f" witness ⟨{', '.join(self.witness)}⟩"
-        if self.note:
-            s += f" ({self.note})"
-        return s
-
 
 def inclusion_obligations(
     context: Formula,
