@@ -135,7 +135,7 @@ def _run(args: argparse.Namespace) -> int:
             )
             for v in oracle.violations[:10]:
                 lines.append(
-                    f"    seed {v.run_seed}: {v.reason}: trace ⟨{', '.join(v.trace)}⟩ {v.detail}"
+                    f"    run {v.run}: {v.reason}: trace ⟨{', '.join(v.trace)}⟩ {v.detail}"
                 )
         files_out.append(file_doc)
 

@@ -8,7 +8,7 @@ transition relations between a pre- and a post-state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 Value = Union[bool, int]
 GroundState = Mapping[str, Value]
@@ -40,11 +40,7 @@ class Term:
     const: int = 0
 
     def __add__(self, other: "Term") -> "Term":
-        return _mk_term(
-            {v: c for v, c in self.coeffs},
-            self.const + other.const,
-            other.coeffs,
-        )
+        return term_sum((self, other))
 
     def __sub__(self, other: "Term") -> "Term":
         return self + other.scaled(-1)
@@ -83,13 +79,15 @@ class Term:
         return " ".join(parts)
 
 
-def _mk_term(
-    base: dict[Var, int], const: int, extra: tuple[tuple[Var, int], ...] = ()
-) -> Term:
-    for v, c in extra:
-        base[v] = base.get(v, 0) + c
-    coeffs = tuple(sorted(((v, c) for v, c in base.items() if c != 0)))
-    return Term(coeffs, const)
+def term_sum(terms: Iterable[Term]) -> Term:
+    """The sum of `terms` in one pass, linear in their coefficients."""
+    base: dict[Var, int] = {}
+    const = 0
+    for t in terms:
+        const += t.const
+        for v, c in t.coeffs:
+            base[v] = base.get(v, 0) + c
+    return Term(tuple(sorted((v, c) for v, c in base.items() if c != 0)), const)
 
 
 def tvar(name: str, primed: bool = False) -> Term:
@@ -285,16 +283,16 @@ def substitute(
     in `post`, looked up by name as `evaluate` reads a state; unbound
     variables stay in place. Only the formula is walked, never the maps."""
     if isinstance(f, Term):
-        acc = tconst(f.const)
+        parts = [tconst(f.const)]
         for v, c in f.coeffs:
             repl = _binding(v, pre, post)
             if repl is None:
-                acc = acc + Term(((v, c),))
+                parts.append(Term(((v, c),)))
             elif isinstance(repl, Term):
-                acc = acc + repl.scaled(c)
+                parts.append(repl.scaled(c))
             else:
                 raise UnboundVariable(f"integer variable {v} bound to {repl!r}")
-        return acc
+        return term_sum(parts)
     if isinstance(f, BoolLit):
         return f
     if isinstance(f, BoolRef):

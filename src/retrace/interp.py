@@ -279,10 +279,11 @@ def run(
     p: Union[Program, CompiledProgram],
     entry: str,
     s0: GroundState,
-    seed: int,
+    seed: Union[int, random.Random],
     fuel: int = 256,
 ) -> RunResult:
-    """Execute `entry` from the pre-state `s0`, deterministically in `seed`.
+    """Execute `entry` from the pre-state `s0`, deterministically in `seed`:
+    an int to seed a fresh generator, or a generator to draw from.
 
     `p` is a program, or one already compiled, as the oracle passes it to
     run many times.  `s0` must assign every global; entries for the
@@ -293,7 +294,7 @@ def run(
     proc = prog.procedures.get(entry)
     if proc is None or proc.body is None:
         raise ValueError(f"no executable procedure {entry!r}")
-    r = _Run(random.Random(seed), fuel)
+    r = _Run(seed if isinstance(seed, random.Random) else random.Random(seed), fuel)
     for name, gv in prog.variables.items():
         if name in s0:
             r.globals[name] = s0[name]
@@ -316,7 +317,7 @@ def run(
     return RunResult("stopped", final, tuple(r.trace))
 @dataclass
 class Violation:
-    run_seed: int
+    run: int  # the run's 0-based index within its check
     pre_state: dict[str, Value]
     trace: tuple[str, ...]
     reason: str  # "postcondition" | "trace" | "aborted"
@@ -343,7 +344,7 @@ class OracleReport:
             "fuel_exhausted": self.fuel_exhausted,
             "violations": [
                 {
-                    "seed": v.run_seed,
+                    "run": v.run,
                     "pre_state": dict(sorted(v.pre_state.items())),
                     "trace": list(v.trace),
                     "reason": v.reason,
@@ -389,7 +390,8 @@ def check_triple_random(
     membership of its trace in the contract's trace language evaluated at
     the final state.  Aborted runs count as violations; fuel-exhausted runs
     are reported but not judged.  The program and the contract are compiled
-    once, before the first run.
+    once, before the first run.  All runs draw from one generator seeded with
+    `seed`, in order, so violation `i` replays as the last of `runs=i+1`.
     """
     proc = p.procedures.get(entry)
     if proc is None or proc.body is None:
@@ -399,17 +401,16 @@ def check_triple_random(
     ensures = compile_formula(proc.ensures, by_prime)
     contract_lang = compile_spec(complete(proc.trace), by_prime)
     report = OracleReport(entry=entry, runs=runs)
+    rng = random.Random(seed)
     for i in range(runs):
-        run_seed = seed * 1_000_003 + i
-        rng = random.Random(run_seed)
         pre = _sample_pre_state(p, proc, requires, rng)
-        result = run(code, entry, pre, run_seed ^ 0x5EED, fuel)
+        result = run(code, entry, pre, rng, fuel)
         if result.outcome == "fuel":
             report.fuel_exhausted += 1
             continue
         if result.outcome == "aborted":
             report.violations.append(
-                Violation(run_seed, pre, result.trace, "aborted", "run aborted")
+                Violation(i, pre, result.trace, "aborted", "run aborted")
             )
             continue
         report.completed += 1
@@ -417,14 +418,14 @@ def check_triple_random(
         final = result.state
         if not ensures((pre, final)):
             report.violations.append(
-                Violation(run_seed, pre, result.trace, "postcondition",
+                Violation(i, pre, result.trace, "postcondition",
                           f"final state {final}")
             )
             continue
         allowed = contract_lang((final, None))
         if not rx.member(result.trace, allowed):
             report.violations.append(
-                Violation(run_seed, pre, result.trace, "trace",
+                Violation(i, pre, result.trace, "trace",
                           f"not in {rx.render(allowed)}")
             )
     return report

@@ -32,6 +32,7 @@ from .formula import (
     neg,
     render_formula,
     tconst,
+    term_sum,
     tvar,
 )
 from .tracespec import TraceOption, TraceSpec
@@ -272,6 +273,8 @@ _COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 # Binding powers of the binary operators; `==>` is right-associative, the
 # others left-associative, and comparisons do not chain.
 _BINDING = {"==>": 0, "||": 1, "&&": 2, **dict.fromkeys(_COMPARISONS, 3), "+": 4, "-": 4, "*": 5}
+# the operators that continue a run built as one node, not re-flattened per operator
+_RUNS = {"&&": ("&&",), "||": ("||",), "+": ("+", "-"), "-": ("+", "-")}
 
 
 class _Parser:
@@ -641,12 +644,13 @@ class _Parser:
         while (bp := _BINDING.get(self.peek().text, -1)) >= min_bp:
             t = self.next()
             check = self._as_bool if bp < 3 else self._as_int
-            if t.text in ("&&", "||", "+", "-"):
+            if t.text in _RUNS:
                 check(lhs, t)
             rhs = self.parse_expression(bp if t.text == "==>" else bp + 1)
-            args = [check(lhs, t), check(rhs, t)]
-            while t.text in ("||", "&&") and (u := self.accept(t.text)):  # one node per run
-                args.append(check(self.parse_expression(bp + 1), u))
+            args = [check(lhs, t), _signed(t, check(rhs, t))]
+            while (u := self.peek()).text in _RUNS.get(t.text, ()):  # one node per run
+                self.next()
+                args.append(_signed(u, check(self.parse_expression(bp + 1), u)))
             lhs = _binary(t, *args)
             t2 = self.peek()
             if bp == 3 and t2.text in _COMPARISONS:
@@ -709,19 +713,24 @@ class _Parser:
         return e
 
 
+def _signed(t: Token, e: Any) -> Any:
+    """An operand of `t` with the sign it adds under: negated after `-`."""
+    return -e if t.text == "-" else e
+
+
 def _type(e: Union[Term, Formula]) -> str:
     return "int" if isinstance(e, Term) else "bool"
 
 
-def _binary(t: Token, a: Any, b: Any, *more: Formula) -> Union[Term, Formula]:
+def _binary(t: Token, a: Any, b: Any, *more: Any) -> Union[Term, Formula]:
     """`a op b` for the operator token `t`, on operands of the checked type."""
     op = t.text
     if op == "==>":
         return implies(a, b)
     if op in ("||", "&&"):
         return (disj if op == "||" else conj)(a, b, *more)
-    if op in ("+", "-"):
-        return a + b if op == "+" else a - b
+    if op in ("+", "-"):  # the operands come signed
+        return term_sum((a, b, *more))
     if op == "*":
         if a.is_const():
             return b.scaled(a.const)

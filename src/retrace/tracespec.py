@@ -9,6 +9,7 @@ over the guards.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -61,8 +62,13 @@ def plain(r: rx.Regex) -> TraceSpec:
 def compile_spec(spec: TraceSpec, select: Selector) -> Callable[[Env], rx.Regex]:
     """Compile the guards once, as `compile_formula` does; the result maps
     an environment to the union of the options whose guards hold there."""
-    options = tuple((o.regex, compile_formula(o.guard, select)) for o in spec.options)
-    return lambda env: rx.choice(*(r for r, guard in options if guard(env)))
+    guards = tuple(compile_formula(o.guard, select) for o in spec.options)
+
+    @functools.cache  # one union per combination of guard values
+    def union(holds: tuple[bool, ...]) -> rx.Regex:
+        return rx.choice(*(o.regex for o, h in zip(spec.options, holds) if h))
+
+    return lambda env: union(tuple(guard(env) for guard in guards))
 
 
 def eval_at(

@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 
 from retrace import regex as rx
-from retrace.corpus import load_corpus
+from retrace.corpus import MUTANTS, load_corpus
 from retrace.formula import FALSE, TRUE
 from retrace.interp import NoSatisfyingState, check_triple_random, run
 from retrace.lang import (
@@ -255,3 +256,36 @@ def test_oracle_report_roundtrip():
     doc = rep.to_dict()
     assert doc["runs"] == 20
     assert doc["violations"] == []
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_violations_replay_by_run_index(name):
+    # every run draws from one stream, so a shorter check is a prefix of a
+    # longer one and violation i replays as the last of a (i+1)-run check
+    p = load_corpus(name)
+    full = check_triple_random(p, p.entry, runs=300, seed=1)
+    for k in (1, 37, 150):
+        short = check_triple_random(p, p.entry, runs=k, seed=1)
+        assert short.violations == [v for v in full.violations if v.run < k]
+    vs = full.violations
+    for v in (vs[0], vs[len(vs) // 2], vs[-1]) if vs else ():
+        again = check_triple_random(p, p.entry, runs=v.run + 1, seed=1).violations[-1]
+        assert (again.run, again.pre_state, again.trace, again.reason) == (
+            v.run, v.pre_state, v.trace, v.reason
+        )
+
+
+def test_one_seeding_per_check(monkeypatch):
+    seeded = []
+    seed = random.Random.seed
+
+    def counted(self, *args, **kwargs):
+        seeded.append(args)
+        return seed(self, *args, **kwargs)
+
+    p = load_corpus("casino")
+    monkeypatch.setattr(random.Random, "seed", counted)
+    for runs in (0, 1, 25):
+        seeded.clear()
+        check_triple_random(p, p.entry, runs=runs, seed=5)
+        assert seeded == [(5,)], runs

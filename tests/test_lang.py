@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -190,6 +191,25 @@ def test_rendered_formulas_parse_back():
         f = random_formula(rng, ["x", "y", "z"], depth=4)
         src = f"int x; int y; int z;\nproc q() _(requires {render_formula(f)}) ;"
         assert parse(src).procedures["q"].requires == f, render_formula(f)
+
+
+def test_long_sum_parses_in_linear_time():
+    # a run of `+` and `-` is summed in one pass; folding it pairwise took
+    # seconds at this size, re-sorting the growing term at every operator
+    n = 4000
+    terms = " ".join(f"{'+' if i % 2 == 0 else '-'} v{i}" for i in range(1, n))
+    src = (
+        "".join(f"int v{i};\n" for i in range(n))
+        + f"proc q() _(requires v0 {terms} + 2 * v0 - 7 == 0) ;"
+    )
+    start = time.perf_counter()
+    f = parse(src).procedures["q"].requires
+    assert time.perf_counter() - start < 1.0
+    want = {Var(f"v{i}"): 1 if i % 2 == 0 else -1 for i in range(n)}
+    want[Var("v0")] = 3
+    assert (f.op, f.rhs) == ("==", tconst(0))
+    assert dict(f.lhs.coeffs) == want and f.lhs.const == -7
+    assert [v for v, _ in f.lhs.coeffs] == sorted(want)
 
 
 def test_syntax_error_has_position():

@@ -4,23 +4,29 @@ import random
 import pytest
 
 from retrace import regex as rx
+from retrace.corpus import CORPUS, MUTANTS, load_corpus
 from retrace.formula import (
     FALSE,
     TRUE,
     BoolRef,
     Var,
+    by_prime,
     cmp,
+    compile_formula,
     conj,
     disj,
     evaluate,
+    free_vars,
     neg,
     tconst,
     tvar,
 )
+from retrace.lang import If, Seq, SpecStmt, While
 from retrace.solver import BuiltinSolver
 from retrace.tracespec import (
     TraceOption,
     TraceSpec,
+    compile_spec,
     complete,
     eval_at,
     inclusion_obligations,
@@ -224,3 +230,46 @@ def test_completion_never_rescues_covered_states(seed, solver):
         lhs = eval_at(left, {"b": False})
         rhs = eval_at(right0, None, sp)
         assert enum_subset(lhs, rhs, 5) is None
+
+
+def _specs_of(proc):
+    """The contract of `proc` and the trace of every spec statement it runs."""
+    yield proc.trace
+    stack = [proc.spec_stmt() if proc.body is None else proc.body]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, SpecStmt):
+            yield c.trace
+        elif isinstance(c, Seq):
+            stack.extend(c.stmts)
+        elif isinstance(c, If):
+            stack += [c.then, c.orelse]
+        elif isinstance(c, While):
+            stack.append(c.body)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + sorted(MUTANTS))
+def test_compiled_spec_builds_the_union_of_the_holding_options(name):
+    # one compiled evaluator serves every state, so most states are answered
+    # from its cache of unions; each must be the regex built afresh
+    p = load_corpus(name)
+    rng = random.Random(name)
+
+    def value(ty):  # as the oracle samples: the program's constants half the time
+        if ty == "bool":
+            return rng.random() < 0.5
+        if p.int_pool and rng.random() < 0.5:
+            return rng.choice(p.int_pool)
+        return rng.randint(*p.int_domain)
+
+    for proc in p.procedures.values():
+        for spec in map(complete, _specs_of(proc)):
+            evaluate_spec = compile_spec(spec, by_prime)
+            guards = [compile_formula(o.guard, by_prime) for o in spec.options]
+            names = {v.name for o in spec.options for v in free_vars(o.guard)}
+            for _ in range(500):
+                s, sp = ({n: value(p.var_type(n, proc)) for n in names} for _ in range(2))
+                want = rx.choice(
+                    *(o.regex for o, g in zip(spec.options, guards) if g((s, sp)))
+                )
+                assert evaluate_spec((s, sp)) is want
