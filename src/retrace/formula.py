@@ -324,90 +324,131 @@ def by_prime(v: Var) -> int:
     return 1 if v.primed else 0
 
 
-def _read(v: Var, i: int, boolean: bool) -> Callable[[Env], Value]:
-    """Read `v` by name from `env[i]`; an absent mapping or name, or a value
-    of the other type, raises `UnboundVariable`."""
-    name = v.name
-    unbound = (LookupError, TypeError)  # no such name, or env[i] is absent
+# CPython rejects an expression nested in more than 200 parentheses, and its
+# compiler recurses once per operand of a chain of `+`: a subformula nested
+# this deep becomes a function of its own, and a long sum is grouped
+_MAX_NESTING = 50
+_SUM_CHUNK = 64
 
+
+class PySource:
+    """Renders formulas and linear terms as Python expressions, the one
+    formula compiler of the package.  `read(v, boolean)` is the expression
+    that reads `v`.  Connectives short-circuit left to right and operands
+    are read in order, as a recursive evaluation would read them.  A
+    subformula nested deeper than CPython accepts is rendered as a function
+    of `params`, whose definition is appended to `defs`."""
+
+    def __init__(self, read: Callable[[Var, bool], str], params: str, defs: list[str]) -> None:
+        self.read = read
+        self.params = params
+        self.defs = defs
+
+    def __call__(self, e: Union[Formula, Term]) -> str:
+        return self.term(e) if isinstance(e, Term) else self.formula(e)
+
+    def term(self, t: Term) -> str:
+        parts = [str(t.const)] if t.const or not t.coeffs else []
+        for v, c in t.coeffs:
+            x = self.read(v, False)
+            parts.append(x if c == 1 else f"-{x}" if c == -1 else f"{c} * {x}")
+        if len(parts) > _SUM_CHUNK:
+            parts = ["(" + " + ".join(parts[k:k + _SUM_CHUNK]) + ")" for k in range(0, len(parts), _SUM_CHUNK)]
+        return " + ".join(parts)
+
+    def formula(self, f: Formula, depth: int = 0) -> str:
+        if depth >= _MAX_NESTING:
+            body = self.formula(f)
+            name = f"_x{len(self.defs)}"
+            self.defs.append(f"def {name}({self.params}):\n    return {body}")
+            return f"{name}({self.params})"
+        if isinstance(f, BoolLit):
+            return "True" if f.value else "False"
+        if isinstance(f, BoolRef):
+            return self.read(f.var, True)
+        if isinstance(f, Cmp):
+            return f"({self.term(f.lhs)} {f.op} {self.term(f.rhs)})"
+        if isinstance(f, Not):
+            return f"(not {self.formula(f.arg, depth + 1)})"
+        if isinstance(f, Implies):
+            return f"(not {self.formula(f.lhs, depth + 1)} or {self.formula(f.rhs, depth + 1)})"
+        assert isinstance(f, (And, Or))
+        if not f.args:
+            return "True" if isinstance(f, And) else "False"
+        op = " and " if isinstance(f, And) else " or "
+        return "(" + op.join(self.formula(a, depth + 1) for a in f.args) + ")"
+
+
+def build(lines: list[str], namespace: dict[str, Any]) -> Any:
+    """Run `lines` as the body of a function whose globals are `namespace`
+    and return what it returns.  The functions it defines reach each other
+    through closure cells, and `namespace` keeps none of them, so nothing
+    built here is part of a reference cycle."""
+    src = "def _make():\n" + "".join(f"    {ln}\n" for s in lines for ln in s.split("\n"))
+    exec(compile(src, "<retrace>", "exec"), namespace)
+    return namespace.pop("_make")()
+
+
+def _read_int(env: Env, i: int, name: str, label: str) -> int:
+    try:
+        val = env[i][name]  # type: ignore[index]
+    except (LookupError, TypeError):  # no such name, or env[i] is absent
+        raise UnboundVariable(f"no value for {label}") from None
+    if val is True or val is False:
+        raise UnboundVariable(mistyped(label, False))
+    return val
+
+
+def _read_bool(env: Env, i: int, name: str, label: str) -> bool:
+    try:
+        val = env[i][name]  # type: ignore[index]
+    except (LookupError, TypeError):
+        raise UnboundVariable(f"no value for {label}") from None
+    if val is True or val is False:
+        return val
+    raise UnboundVariable(mistyped(label, True))
+
+
+def mistyped(label: str, boolean: bool) -> str:
+    """The message of a read that finds a value of the other type."""
     if boolean:
-        def read(env: Env) -> Value:
-            try:
-                val = env[i][name]  # type: ignore[index]
-            except unbound:
-                raise UnboundVariable(f"no value for {v}") from None
-            if val is True or val is False:
-                return val
-            raise UnboundVariable(f"{v} holds an integer, expected a boolean")
-    else:
-        def read(env: Env) -> Value:
-            try:
-                val = env[i][name]  # type: ignore[index]
-            except unbound:
-                raise UnboundVariable(f"no value for {v}") from None
-            if val is True or val is False:
-                raise UnboundVariable(f"{v} holds a boolean, expected an integer")
-            return val
-    return read
+        return f"{label} holds an integer, expected a boolean"
+    return f"{label} holds a boolean, expected an integer"
+
+
+def compile_checked(
+    exprs: tuple[Union[Formula, Term], ...],
+    select: Selector,
+    combine: Callable[[list[str]], str] = lambda xs: xs[0],
+    **names: Any,
+) -> Callable[[Env], Any]:
+    """Compile `exprs` to one function of an environment, a tuple of
+    mappings, that returns `combine` of their renderings (by default the
+    first); `select` picks the mapping each variable is read from, and
+    `names` are globals of the generated code.  A missing mapping or name,
+    or a value of the other type, raises `UnboundVariable`."""
+
+    def read(v: Var, boolean: bool) -> str:
+        fn = "_read_bool" if boolean else "_read_int"
+        return f"{fn}(env, {select(v)}, {v.name!r}, {str(v)!r})"
+
+    defs: list[str] = []
+    render = PySource(read, "env", defs)
+    body = combine([render(e) for e in exprs])
+    namespace = {"_read_bool": _read_bool, "_read_int": _read_int, **names}
+    return build(defs + [f"return lambda env: {body}"], namespace)
 
 
 def compile_term(t: Term, select: Selector) -> Callable[[Env], int]:
-    """Compile a linear term to a function of an environment, a tuple of
-    mappings; `select` picks the mapping each variable is read from."""
-    k = t.const
-    reads = tuple((c, _read(v, select(v), False)) for v, c in t.coeffs)
-    if not reads:
-        return lambda env: k
-    if len(reads) == 1:
-        c, r = reads[0]
-        if c == 1:
-            return r if k == 0 else lambda env: r(env) + k
-        return lambda env: c * r(env) + k
-
-    def term(env: Env) -> int:
-        total = k
-        for c, r in reads:
-            total += c * r(env)
-        return total
-
-    return term
+    """Compile a linear term to a function of an environment, as
+    `compile_checked` does."""
+    return compile_checked((t,), select)
 
 
 def compile_formula(f: Formula, select: Selector) -> Callable[[Env], bool]:
-    """Compile a formula to a function of an environment, as `compile_term`
-    does; connectives short-circuit left to right."""
-    if isinstance(f, BoolLit):
-        value = f.value
-        return lambda env: value
-    if isinstance(f, BoolRef):
-        return _read(f.var, select(f.var), True)  # type: ignore[return-value]
-    if isinstance(f, Cmp):
-        a, b = compile_term(f.lhs, select), compile_term(f.rhs, select)
-        if f.op == "==":
-            return lambda env: a(env) == b(env)
-        if f.op == "!=":
-            return lambda env: a(env) != b(env)
-        if f.op == "<":
-            return lambda env: a(env) < b(env)
-        return lambda env: a(env) <= b(env)
-    if isinstance(f, Not):
-        g = compile_formula(f.arg, select)
-        return lambda env: not g(env)
-    if isinstance(f, Implies):
-        p, q = compile_formula(f.lhs, select), compile_formula(f.rhs, select)
-        return lambda env: not p(env) or q(env)
-    assert isinstance(f, (And, Or))
-    parts = tuple(compile_formula(a, select) for a in f.args)
-    # a connective returns at the first part that settles it
-    settle = not isinstance(f, And)
-
-    def connective(env: Env) -> bool:
-        for g in parts:
-            if g(env) is settle:
-                return settle
-        return not settle
-
-    return connective
+    """Compile a formula to a function of an environment, as
+    `compile_checked` does; connectives short-circuit left to right."""
+    return compile_checked((f,), select)
 
 
 def eval_term(t: Term, s: Optional[GroundState], sp: Optional[GroundState] = None) -> int:

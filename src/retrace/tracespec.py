@@ -22,7 +22,7 @@ from .formula import (
     Selector,
     Substitution,
     by_prime,
-    compile_formula,
+    compile_checked,
     conj,
     disj,
     neg,
@@ -59,16 +59,26 @@ def plain(r: rx.Regex) -> TraceSpec:
     return TraceSpec((TraceOption(r, TRUE),))
 
 
-def compile_spec(spec: TraceSpec, select: Selector) -> Callable[[Env], rx.Regex]:
-    """Compile the guards once, as `compile_formula` does; the result maps
-    an environment to the union of the options whose guards hold there."""
-    guards = tuple(compile_formula(o.guard, select) for o in spec.options)
+def union_of(spec: TraceSpec) -> Callable[[tuple[bool, ...]], rx.Regex]:
+    """The union of the options whose guards hold, given the guard values in
+    option order; built once per combination of guard values."""
 
-    @functools.cache  # one union per combination of guard values
+    @functools.cache
     def union(holds: tuple[bool, ...]) -> rx.Regex:
         return rx.choice(*(o.regex for o, h in zip(spec.options, holds) if h))
 
-    return lambda env: union(tuple(guard(env) for guard in guards))
+    return union
+
+
+def compile_spec(spec: TraceSpec, select: Selector) -> Callable[[Env], rx.Regex]:
+    """Compile the guards once, as `compile_formula` does; the result maps
+    an environment to the union of the options whose guards hold there."""
+    return compile_checked(
+        tuple(o.guard for o in spec.options),
+        select,
+        lambda guards: "_union((" + "".join(g + ", " for g in guards) + "))",
+        _union=union_of(spec),
+    )
 
 
 def eval_at(

@@ -4,16 +4,17 @@ implementations and random generators.
 The enumeration oracle computes truncated languages by structural recursion
 over the regex, deliberately avoiding the derivative machinery it is used
 to check.  The references (`reference_evaluate`, `reference_included`,
-`reference_tokenize`, `ReferenceSolver`, `ReferenceVerifier`) are earlier,
-simpler versions of optimized code, kept so that property tests can compare
-the two.
+`reference_tokenize`, `ReferenceSolver`, `ReferenceVerifier`,
+`reference_run`) are earlier, simpler versions of optimized code, kept so
+that property tests can compare the two.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Optional
+from collections import ChainMap
+from typing import Iterable, Mapping, Optional
 
 from retrace import regex as rx
 from retrace.formula import (
@@ -41,7 +42,24 @@ from retrace.formula import (
     tconst,
     tvar,
 )
-from retrace.lang import _SYMBOLS, If, ParseError, Token
+from retrace.interp import RunResult
+from retrace.lang import (
+    _SYMBOLS,
+    Abort,
+    Assign,
+    Call,
+    Command,
+    Emit,
+    Havoc,
+    If,
+    ParseError,
+    Program,
+    Seq,
+    SpecStmt,
+    Token,
+    While,
+)
+from retrace.tracespec import TraceSpec, complete
 from retrace.solver import Model, SatResult, Solver
 from retrace.verifier import Verifier
 
@@ -732,3 +750,241 @@ class ReferenceVerifier(Verifier):
             st.path = path2
             out.extend(self.exec(branch, st, proc, obs, warnings))
         return out
+
+
+# -- reference interpreter ---------------------------------------------------
+
+
+class _RefAborted(Exception):
+    pass
+
+
+class _RefOutOfFuel(Exception):
+    pass
+
+
+def _reference_value(ty: str, rng: random.Random, p: Program):
+    if ty == "bool":
+        return rng.random() < 0.5
+    if p.int_pool and rng.random() < 0.5:
+        return p.int_pool[rng.randrange(len(p.int_pool))]
+    return rng.randint(p.int_domain[0], p.int_domain[1])
+
+
+def _reference_word(r: rx.Regex, rng: random.Random) -> Optional[Word]:
+    out: list[str] = []
+    while True:
+        starts = sorted(rx.first(r))
+        if rx.nullable(r) and (not starts or len(out) >= 8 or rng.random() < 0.4):
+            return tuple(out)
+        if not starts:
+            return None
+        a = starts[rng.randrange(len(starts))]
+        out.append(a)
+        r = rx.derive(a, r)
+
+
+def _reference_union(spec: TraceSpec, s: Mapping) -> rx.Regex:
+    holds = [reference_evaluate(o.guard, s) for o in spec.options]
+    return rx.choice(*(o.regex for o, h in zip(spec.options, holds) if h))
+
+
+def reference_pre_state(p: Program, entry: str, rng: random.Random) -> dict:
+    """A pre-state drawn as the oracle draws one, before its precondition
+    is checked: every global, then every local of `entry`."""
+    typed = [(n, gv.type) for n, gv in p.variables.items()]
+    typed += list(p.procedures[entry].locals.items())
+    return {n: _reference_value(ty, rng, p) for n, ty in typed}
+
+
+def reference_run(p: Program, entry: str, s0: Mapping, rng: random.Random, fuel: int = 256) -> RunResult:
+    """`interp.run` as a recursive walk over the AST, with the semantics and
+    the order of random draws of the interpreter that compiled to closures:
+    every read is checked as `reference_evaluate` checks it, and integers
+    are drawn with `randint` and `randrange`.  It recurses several times per
+    nested statement, so it suits shallow programs and small fuel."""
+    left = [fuel]
+
+    def burn() -> None:
+        left[0] -= 1
+        if left[0] < 0:
+            raise _RefOutOfFuel()
+
+    def type_of(name: str, local: Mapping[str, str]) -> str:
+        return local.get(name) or p.var_type(name) or "int"
+
+    def spec(c: SpecStmt, frame: dict, local: Mapping[str, str]) -> None:
+        pre = ChainMap(frame, g)
+        if not reference_evaluate(c.guard, pre):
+            raise _RefAborted()
+        for _ in range(64 if c.mods else 1):
+            cand = {m: _reference_value(type_of(m, local), rng, p) for m in c.mods}
+            if reference_evaluate(c.rel, pre, ChainMap(cand, frame, g)):
+                break
+        else:
+            raise _RefOutOfFuel()
+        allowed = _reference_union(complete(c.trace), pre)
+        for m in c.mods:
+            (frame if m in local else g)[m] = cand[m]
+        word = _reference_word(allowed, rng)
+        if word is None:
+            raise _RefOutOfFuel()
+        trace.extend(word)
+
+    def call(name: str, frame_init: Mapping) -> dict:
+        proc = p.procedures[name]
+        if proc.body is None:
+            spec(proc.spec_stmt(), {}, {})
+            return {}
+        frame = {n: False if ty == "bool" else 0 for n, ty in proc.locals.items()}
+        frame.update(frame_init)
+        execute(proc.body, frame, proc.locals)
+        return frame
+
+    def execute(c: Command, frame: dict, local: Mapping[str, str]) -> None:
+        env = ChainMap(frame, g)
+        if isinstance(c, Seq):
+            for s in c.stmts:
+                execute(s, frame, local)
+        elif isinstance(c, Emit):
+            trace.append(c.event)
+        elif isinstance(c, Assign):
+            if isinstance(c.value, Term):
+                value = reference_eval_term(c.value, env)
+            else:
+                value = reference_evaluate(c.value, env)
+            (frame if c.var in local else g)[c.var] = value
+        elif isinstance(c, Havoc):
+            (frame if c.var in local else g)[c.var] = _reference_value(type_of(c.var, local), rng, p)
+        elif isinstance(c, If):
+            execute(c.then if reference_evaluate(c.test, env) else c.orelse, frame, local)
+        elif isinstance(c, While):
+            while reference_evaluate(c.test, env):
+                burn()
+                execute(c.body, frame, local)
+        elif isinstance(c, Call):
+            burn()
+            call(c.proc, {})
+        elif isinstance(c, SpecStmt):
+            spec(c, frame, local)
+        else:
+            assert isinstance(c, Abort)
+            raise _RefAborted()
+
+    proc = p.procedures.get(entry)
+    if proc is None or proc.body is None:
+        raise ValueError(f"no executable procedure {entry!r}")
+    trace: list[str] = []
+    g: dict = {}
+    for name, gv in p.variables.items():
+        if name in s0:
+            g[name] = s0[name]
+        elif gv.init is not None:
+            g[name] = gv.init
+        else:
+            raise ValueError(f"pre-state misses global {name!r}")
+    try:
+        frame = call(entry, {k: v for k, v in s0.items() if k in proc.locals})
+    except _RefAborted:
+        return RunResult("aborted", None, tuple(trace))
+    except (_RefOutOfFuel, RecursionError):
+        return RunResult("fuel", None, tuple(trace))
+    return RunResult("stopped", {**g, **frame}, tuple(trace))
+
+
+# -- program generation ------------------------------------------------------
+
+
+def random_program(rng: random.Random) -> str:
+    """Source of a random resolvable program whose entry is `main`: int and
+    bool globals, some initialised; bodiless procedures with guards,
+    relations and guarded traces; bodied procedures that call each other
+    and themselves, with loops, havocs, emits and aborts."""
+    events = ("a", "b", "c")
+    ints, bools = ["g0", "g1"], ["h0"]
+    lines = [f"events {', '.join(events)};", f"const K = {rng.randint(-3, 3)};"]
+    lines += ["int g0;", f"int g1 = {rng.randint(-2, 2)};", "bool h0;"]
+
+    def term(names: list[str], primed: tuple[str, ...] = ()) -> str:
+        pool = names + [f"{n}'" for n in primed] + ["K", str(rng.randint(-3, 3))]
+        parts = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        out = parts[0]
+        for q in parts[1:]:
+            out += rng.choice([" + ", " - ", " + 2 * "]) + q
+        return out
+
+    def formula(ints_: list[str], bools_: list[str], depth: int = 2, primed: tuple[str, ...] = ()) -> str:
+        roll = rng.random()
+        if depth == 0 or roll < 0.35:
+            if bools_ and rng.random() < 0.3:
+                return rng.choice(bools_ + [f"{n}'" for n in primed if n in bools])
+            op = rng.choice(["<", "<=", "==", "!=", ">", ">="])
+            pi = tuple(n for n in primed if n in ints)
+            return f"{term(ints_, pi)} {op} {term(ints_, pi)}"
+        if roll < 0.5:
+            return f"!({formula(ints_, bools_, depth - 1, primed)})"
+        op = rng.choice([" && ", " || ", " ==> "])
+        return f"({formula(ints_, bools_, depth - 1, primed)}{op}{formula(ints_, bools_, depth - 1, primed)})"
+
+    def regex() -> str:
+        return rng.choice(["()", "a", "b c", "(a | b)", "a*", "c (a | b)*", "a b*"])
+
+    callees = []
+    for k in range(rng.randint(1, 2)):
+        name = f"ext{k}"
+        mods = rng.sample(ints + bools, rng.randint(0, 2))
+        clauses = []
+        if rng.random() < 0.5:
+            clauses.append(f"_(requires {formula(ints, bools, 1)})")
+        if mods:
+            clauses.append(f"_(modifies {', '.join(mods)})")
+            clauses.append(f"_(ensures {formula(ints, bools, 1, tuple(mods))})")
+        for _ in range(rng.randint(0, 2)):
+            clauses.append(f"_(trace {regex()} if {formula(ints, bools, 1)})")
+        lines.append(f"proc {name}() {' '.join(clauses)} ;")
+        callees.append(name)
+    bodied = [f"q{k}" for k in range(rng.randint(0, 2))] + ["main"]
+    callees += bodied
+
+    def block(local_ints: list[str], local_bools: list[str], depth: int) -> list[str]:
+        ivars, bvars = ints + local_ints, bools + local_bools
+        out: list[str] = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if roll < 0.2:
+                out.append(f"_(emit {rng.choice(events)})")
+            elif roll < 0.35:
+                v = rng.choice(ivars)
+                out.append(f"{v} = {term(ivars)};")
+            elif roll < 0.45:
+                v = rng.choice(bvars)
+                out.append(f"{v} = {formula(ivars, bvars, 1)};")
+            elif roll < 0.55:
+                out.append(f"{rng.choice(ivars + bvars)} = nondet();")
+            elif roll < 0.7:
+                out.append(f"{rng.choice(callees)}();")
+            elif roll < 0.72:
+                out.append("abort();")
+            elif roll < 0.87 and depth > 0:
+                out.append(f"if ({formula(ivars, bvars)}) {{")
+                out += ["  " + ln for ln in block(local_ints, local_bools, depth - 1)]
+                if rng.random() < 0.6:
+                    out.append("} else {")
+                    out += ["  " + ln for ln in block(local_ints, local_bools, depth - 1)]
+                out.append("}")
+            elif depth > 0:
+                v = rng.choice(local_bools)
+                out.append(f"while ({v} || {formula(ivars, bvars, 1)}) {{")
+                out += ["  " + ln for ln in block(local_ints, local_bools, depth - 1)]
+                out.append(f"  {v} = nondet();")
+                out.append("}")
+        return out
+
+    for name in bodied:
+        local_ints = [f"{name}_i{k}" for k in range(rng.randint(0, 2))]
+        local_bools = [f"{name}_b{k}" for k in range(rng.randint(1, 2))]
+        lines.append(f"proc {name}() {{")
+        lines += [f"  int {v};" for v in local_ints] + [f"  bool {v} = nondet();" for v in local_bools]
+        lines += ["  " + ln for ln in block(local_ints, local_bools, 2)]
+        lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -30,6 +30,7 @@ from retrace.formula import (
     render_formula,
     substitute,
     tconst,
+    term_sum,
     tvar,
 )
 
@@ -197,6 +198,20 @@ def test_compiled_evaluate_matches_reference(f, s, sp):
 @given(_terms, _states, _states)
 def test_compiled_eval_term_matches_reference(t, s, sp):
     assert _outcome(eval_term, t, s, sp) == _outcome(reference_eval_term, t, s, sp)
+
+
+def test_long_sums_and_deep_formulas_compile():
+    # beyond what CPython compiles as one expression: 200 nested parentheses,
+    # and a chain of `+` as long as its compiler's recursion limit
+    names = [f"v{i}" for i in range(4000)]
+    total = term_sum([tconst(1)] + [tvar(n).scaled(i % 5 - 2) for i, n in enumerate(names)])
+    s = {n: i for i, n in enumerate(names)}
+    assert eval_term(total, s) == reference_eval_term(total, s)
+    f = b
+    for k in range(400):
+        f = Implies(cmp("<", tvar("x"), tconst(k)), Not(f))
+    for s in ({"x": 0, "b": True}, {"x": 7, "b": False}, {"x": 7}):
+        assert _outcome(evaluate, f, s, None) == _outcome(reference_evaluate, f, s, None)
 
 
 def test_evaluate_rejects_mistyped_values():

@@ -1,14 +1,35 @@
+import gc
 import random
+import sys
+import weakref
 from collections import Counter
 
 import pytest
+from helpers import random_program, reference_pre_state, reference_run
 
 from retrace import regex as rx
-from retrace.corpus import MUTANTS, load_corpus
-from retrace.formula import FALSE, TRUE
-from retrace.interp import NoSatisfyingState, check_triple_random, run
+from retrace.corpus import CORPUS, MUTANTS, load_corpus
+from retrace.formula import (
+    FALSE,
+    TRUE,
+    BoolRef,
+    Cmp,
+    Implies,
+    Not,
+    Or,
+    UnboundVariable,
+    Var,
+    boolref,
+    cmp,
+    evaluate,
+    tconst,
+    tvar,
+)
+from retrace.interp import CompiledProgram, NoSatisfyingState, check_triple_random, run
 from retrace.lang import (
+    Assign,
     Emit,
+    If,
     Procedure,
     Program,
     Seq,
@@ -17,7 +38,7 @@ from retrace.lang import (
     load,
     resolve,
 )
-from retrace.tracespec import TraceSpec, plain
+from retrace.tracespec import TraceOption, TraceSpec, plain
 
 
 def simple_program(body, events=("a", "b"), **proc_kw):
@@ -236,18 +257,23 @@ def test_fuel_exhausted_reported_not_judged():
 
 DEEP_RECURSION = (
     "events a;\nproc p() _(ensures false) "
-    "{ bool b = true; if (b) { if (b) { if (b) { p(); } } } }"
+    "{ bool b = true; _(emit a) if (b) { if (b) { if (b) { p(); } } } }"
 )
 
 
 def test_stack_overflow_counts_as_fuel_exhausted():
-    # both runs out of Python's stack before their fuel runs out
-    p = load(DEEP_RECURSION)
-    rep = check_triple_random(p, "p", runs=3, seed=0)
-    assert (rep.fuel_exhausted, rep.completed, rep.violations) == (3, 0, [])
-    p = load("events a;\nproc p() _(ensures false) { p(); }")
-    rep = check_triple_random(p, "p", runs=3, seed=0, fuel=400)
-    assert (rep.fuel_exhausted, rep.completed, rep.violations) == (3, 0, [])
+    # with fuel above the recursion limit, both programs exhaust Python's
+    # stack before their fuel
+    fuel = sys.getrecursionlimit() + 100
+    for src in (DEEP_RECURSION, "events a;\nproc p() _(ensures false) { _(emit a) p(); }"):
+        p = load(src)
+        rep = check_triple_random(p, "p", runs=3, seed=0, fuel=fuel)
+        assert (rep.fuel_exhausted, rep.completed, rep.violations) == (3, 0, [])
+        # one event per call: a run cut by its fuel would make fuel + 1 calls,
+        # more than the stack holds, so this one was cut by RecursionError
+        cut = run(p, "p", {}, 0, fuel)
+        assert cut.outcome == "fuel"
+        assert 0 < len(cut.trace) <= sys.getrecursionlimit() < fuel
 
 
 def test_oracle_report_roundtrip():
@@ -289,3 +315,129 @@ def test_one_seeding_per_check(monkeypatch):
         seeded.clear()
         check_triple_random(p, p.entry, runs=runs, seed=5)
         assert seeded == [(5,)], runs
+
+
+# -- the compiled program against the reference interpreter --------------------
+
+
+def _same_run(p, code, entry, seed, fuel):
+    """Run `code` and the reference from the same pre-state and the same
+    generator state: equal results, and equal generator states after."""
+    pre = reference_pre_state(p, entry, random.Random(seed))
+    a, b = random.Random(seed), random.Random(seed)
+    got = run(code, entry, pre, a, fuel)
+    assert got == reference_run(p, entry, pre, b, fuel)
+    assert a.getstate() == b.getstate()
+    return got
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + list(MUTANTS))
+def test_runs_match_reference_interpreter_on_corpus(name):
+    p = load_corpus(name)
+    code = CompiledProgram(p)
+    for seed in range(8):
+        _same_run(p, code, p.entry, seed, 64)
+
+
+def test_runs_match_reference_interpreter_on_random_programs():
+    outcomes = Counter()
+    for i in range(60):
+        p = load(random_program(random.Random(i)))
+        code = CompiledProgram(p, "main")
+        for seed in range(4):
+            outcomes[_same_run(p, code, "main", seed, 40).outcome] += 1
+    # every way a run ends is exercised
+    assert min(outcomes[o] for o in ("stopped", "aborted", "fuel")) >= 5, outcomes
+
+
+def _nested_whiles(n):
+    opened = "".join(f"while (i < {k + 1}) {{\n" for k in range(n))
+    return f"events a;\nproc p() {{\nint i = 0;\n{opened}i = i + 1; _(emit a)\n{'}' * n}\n}}\n"
+
+
+def _nested_ifs(n):
+    opened = "".join(f"if (x < {k + 1}) {{\n" for k in range(n))
+    return f"events a;\nint x;\nproc p() {{\n{opened}_(emit a)\n{'} else { x = x + 1; }' * n}\n}}\n"
+
+
+def _else_ifs(n):
+    chain = " else ".join(f"if (x == {k}) {{ _(emit a) x = {k + 1}; }}" for k in range(n))
+    return f"events a;\nint x;\nproc p() {{\n{chain}\n}}\n"
+
+
+def _deep_formulas(n):
+    """An implication chain and a negation chain, each `n` connectives deep,
+    and the chain over `x'` that relates a new value of `x`."""
+    imp, nots, rel = BoolRef(Var("h")), BoolRef(Var("h")), cmp("<=", tvar("x", True), tconst(3))
+    for k in range(n):
+        imp = Implies(Cmp("<", tvar("x"), tconst(k)), imp)
+        nots = Not(nots)
+        rel = Implies(Cmp("==", tvar("x", True), tconst(k)), rel)
+    return imp, nots, rel
+
+
+def _deep_formula_program(n):
+    p = load("events a, b;\nint x;\nbool h;\nproc p() { bool c; }")
+    imp, nots, rel = _deep_formulas(n)
+    trace = TraceSpec((TraceOption(rx.symbol("a"), imp), TraceOption(rx.symbol("b"), nots)))
+    proc = p.procedures["p"]
+    proc.body = Seq((
+        If(imp, Seq((Emit("a"),)), Seq((Emit("b"),))),
+        Assign("c", nots),
+        SpecStmt(("x",), Or((imp, Not(imp))), rel, trace),
+        While(Not(Or((nots, BoolRef(Var("c"))))), TRUE, TraceSpec(), Seq((Assign("c", TRUE),))),
+    ))
+    proc.requires = Or((imp, Not(imp)))
+    proc.ensures = rel
+    proc.trace = trace
+    return p
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(_nested_whiles, 25), (_nested_ifs, 120), (_else_ifs, 150), (_deep_formula_program, 300)],
+)
+def test_deep_nesting_runs_as_reference_does(make, n):
+    # deeper than CPython's limits of 20 nested loops, 100 indentation
+    # levels and 200 nested parentheses in one function
+    p = make(n) if make is _deep_formula_program else load(make(n))
+    code = CompiledProgram(p, "p")
+    outcomes = {_same_run(p, code, "p", seed, 10_000).outcome for seed in range(6)}
+    assert "stopped" in outcomes
+    rep = check_triple_random(p, "p", runs=20, seed=1, fuel=10_000)
+    assert rep.completed + rep.fuel_exhausted + len(rep.violations) >= 20
+
+
+def test_pre_state_types_are_checked_at_entry():
+    # neither variable is ever read, and a wrong type still fails, at entry,
+    # with the message of the read
+    p = load("events a;\nint x;\nproc p() { bool b; _(emit a) }")
+    with pytest.raises(UnboundVariable) as read:
+        evaluate(cmp("<", tvar("x"), tconst(0)), {"x": True})
+    with pytest.raises(UnboundVariable) as entry:
+        run(p, "p", {"x": True}, 0)
+    assert str(entry.value) == str(read.value)
+    with pytest.raises(UnboundVariable) as read:
+        evaluate(boolref("b"), {"b": 1})
+    with pytest.raises(UnboundVariable) as entry:
+        run(p, "p", {"x": 0, "b": 1}, 0)
+    assert str(entry.value) == str(read.value)
+    assert run(p, "p", {"x": 0, "b": True}, 0).outcome == "stopped"
+
+
+def test_compiled_program_is_freed_by_reference_counting():
+    # casino_rec's procedures call each other, and yet neither a check nor
+    # a compiled program leaves a reference cycle behind
+    p = load_corpus("casino_rec")
+    gc.collect()
+    gc.disable()
+    try:
+        check_triple_random(p, p.entry, runs=50, seed=1)
+        code = CompiledProgram(p, p.entry)
+        run(code, p.entry, {"pot": 0}, 1)
+        dead = weakref.ref(code)
+        del code
+        assert dead() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
