@@ -13,6 +13,12 @@ as JSON, files by name, seeds 1 then 7.  It fixes the oracle's random draws,
 their order and the violations found.  Regenerate it with:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Source positions are pinned by `tests/golden/parse_spans.jsonl`: for each
+corpus file and for three generated straight lines of emits, the class and
+`Span` of every command (pre-order) and the span of every procedure.  Spans
+do not take part in AST equality, so nothing else catches a moved position.
+The same command regenerates it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import json
 
 from retrace.corpus import CORPUS, MUTANTS
 from retrace.interp import check_triple_random
-from retrace.lang import load_file
+from retrace.lang import If, Seq, While, load_file, parse
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src" / "retrace" / "corpus"
@@ -35,6 +41,8 @@ FILES = {**CORPUS, **{name: rel for name, (_, rel) in MUTANTS.items()}}
 ORACLE_GOLDEN = GOLDEN / "oracle_reports.jsonl"
 ORACLE_RUNS = 300
 ORACLE_SEEDS = (1, 7)
+PARSE_GOLDEN = GOLDEN / "parse_spans.jsonl"
+EMITS_SIZES = (1000, 1200, 1400)
 
 
 def cli_json(rel: str) -> str:
@@ -86,5 +94,46 @@ def test_oracle_reports_match_golden():
     assert not mismatched, f"oracle reports differ for {mismatched}"
 
 
+def emits_source(n: int, period: tuple[str, ...] = ("b", "d", "a")) -> str:
+    """About `n` emits repeating `period` under the contract `(period)*`,
+    laid out one statement per line as the benchmark's `emits-N` programs."""
+    lines = ["events a, b, c, d;", "", "proc main()", f"  _(trace ({' '.join(period)})*)", "{"]
+    lines += [f"  _(emit {e})" for e in period * (n // len(period))]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _spans(c, out: list[str]) -> list[str]:
+    """`Class line:col` of `c` and of every command inside it, in pre-order."""
+    sp = getattr(c, "span", None)
+    out.append(type(c).__name__ + ("" if sp is None else f" {sp.line}:{sp.col}"))
+    children = c.stmts if isinstance(c, Seq) else (c.then, c.orelse) if isinstance(c, If) else (
+        (c.body,) if isinstance(c, While) else ())
+    for s in children:
+        _spans(s, out)
+    return out
+
+
+def parse_span_lines() -> list[str]:
+    sources = [(name, (CORPUS_DIR / rel).read_text(encoding="utf-8")) for name, rel in sorted(FILES.items())]
+    sources += [(f"emits-{n}", emits_source(n)) for n in EMITS_SIZES]
+    out = []
+    for name, src in sources:
+        procs = {
+            q.name: {"span": f"{q.span.line}:{q.span.col}", "commands": _spans(q.body, []) if q.body else None}
+            for q in parse(src, name).procedures.values()
+        }
+        out.append(json.dumps({"source": name, "procedures": procs}) + "\n")
+    return out
+
+
+def test_parse_spans_match_golden():
+    want = PARSE_GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    got = parse_span_lines()
+    assert len(want) == len(got)
+    mismatched = [json.loads(line)["source"] for line, w in zip(got, want) if line != w]
+    assert not mismatched, f"command spans differ for {mismatched}"
+
+
 if __name__ == "__main__":
     ORACLE_GOLDEN.write_text("".join(line for _, _, line in oracle_lines()), encoding="utf-8")
+    PARSE_GOLDEN.write_text("".join(parse_span_lines()), encoding="utf-8")

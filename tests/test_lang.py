@@ -30,6 +30,7 @@ from retrace.lang import (
     parse,
     pretty,
     resolve,
+    Token,
     tokenize,
 )
 from retrace.tracespec import TraceOption
@@ -382,6 +383,45 @@ def test_tokenize_matches_reference(src):
         assume(not (e.msg.startswith("unexpected character") and bad.isdigit() and not bad.isdecimal()))
         got = str(e)
     assert got == want
+
+
+def _lexed(lex, src):
+    try:
+        return lex(src)
+    except ParseError as e:
+        return str(e)
+
+
+_LONG = "".join(f"int v{i}; // {i}\r\n" if i % 2 else f"\tv{i}'\n" for i in range(10_000))
+
+
+@pytest.mark.parametrize("src", [
+    "events a;\r\nint x;\r\n  proc q() { }\r\n",
+    "events a;\r\n\r\n\t@",
+    "events a;\n\x0cint x;",
+    "events a;\n\u00a0int x;",
+    "events a;\nint x; // the end",
+    "events a;\n  // only a comment",
+    "events a; //",
+    _LONG + "  last",
+    _LONG + "\x0c",
+], ids=["crlf", "crlf-bad", "form-feed", "nbsp", "comment-last", "comment-only-last", "comment-eol", "10k", "10k-bad"])
+def test_tokenize_edge_cases_match_reference(src):
+    assert _lexed(tokenize, src) == _lexed(reference_tokenize, src)
+
+
+def test_comment_on_last_line_fixes_eof_column():
+    assert tokenize("events a;\nint x; // the end")[-1] == Token("eof", "", 2, 8)
+    assert tokenize(_LONG + "x // y")[-2:] == [Token("ident", "x", 10_001, 1), Token("eof", "", 10_001, 3)]
+
+
+def test_word_starting_with_non_decimal_digit():
+    # the reference reads '²' as the start of an integer; the lexer rejects it there
+    src = "events a;\n  int x = ²abc;"
+    where = next(t for t in reference_tokenize(src) if t.text == "²")
+    with pytest.raises(ParseError) as exc:
+        tokenize(src)
+    assert (exc.value.msg, exc.value.line, exc.value.col) == ("unexpected character '²'", where.line, where.col)
 
 
 # -- resolve ------------------------------------------------------------------
