@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Callable, Optional, Union
 
 from . import regex as rx
@@ -117,7 +118,7 @@ def _flat(c: Command) -> list[Command]:
     """The statements of `c`, nested sequences spliced in."""
     if not isinstance(c, Seq):
         return [c]
-    return [s for t in c.stmts for s in _flat(t)]
+    return [s for t in c.stmts for s in (_flat(t) if isinstance(t, Seq) else (t,))]
 
 
 class _Function:
@@ -152,7 +153,8 @@ class _Generator:
         self.defs: list[str] = []  # subformulas nested too deeply
         self.functions: list[str] = []
         self.count = 0
-        self.bodiless: dict[str, str] = {}
+        self.bodiless: dict[str, str] = {}  # the functions of the called bodiless procedures
+        self.calls: list[str] = []  # the procedures called
         self.namespace: dict[str, Any] = {
             "_Aborted": _Aborted,
             "_OutOfFuel": _OutOfFuel,
@@ -227,21 +229,16 @@ class _Generator:
         stmts = _flat(c)
         if not stmts:
             fn.emit(indent, "pass")
-        i = 0
-        while i < len(stmts):
-            j = i
-            while j < len(stmts) and isinstance(stmts[j], Emit):
-                j += 1
-            if j == i:
-                self.statement(fn, stmts[i], local, indent, depth)
-                i += 1
+        for kind, run in groupby(stmts, type):
+            if kind is not Emit:
+                for s in run:
+                    self.statement(fn, s, local, indent, depth)
                 continue
             # a run of emits is one extension of the trace by a constant, which
             # the namespace holds: a long tuple literal is slow to compile
-            events = tuple(e.event for e in stmts[i:j])  # type: ignore[attr-defined]
+            events = tuple(e.event for e in run)  # type: ignore[attr-defined]
             fn.uses.add("T")
-            fn.emit(indent, f"T.append({events[0]!r})" if j == i + 1 else f"T.extend({self.const(events)})")
-            i = j
+            fn.emit(indent, f"T.append({events[0]!r})" if len(events) == 1 else f"T.extend({self.const(events)})")
 
     def statement(self, fn: _Function, c: Command, local: dict[str, str], indent: int, depth: int) -> None:
         """`depth` counts the compound statements around `c`, elifs and loops
@@ -278,10 +275,11 @@ class _Generator:
             self.block(fn, c.body, local, indent + 1, depth + _LOOP_DEPTH)
         elif isinstance(c, Call):
             fn.emit(indent, *_BURN)
-            if c.proc in self.bodiless:
-                fn.emit(indent, f"{self.bodiless[c.proc]}(r, F, G)")
-            else:
-                fn.emit(indent, f"r.procedures[{c.proc!r}](r, None)")
+            callee = self.p.procedures[c.proc]
+            if callee.body is None and c.proc not in self.bodiless:
+                self.bodiless[c.proc] = self.spec(callee.spec_stmt(), {})
+            self.calls.append(c.proc)
+            fn.emit(indent, f"{self.bodiless[c.proc]}(r, F, G)" if c.proc in self.bodiless else f"r.procedures[{c.proc!r}](r, None)")
         elif isinstance(c, SpecStmt):
             fn.emit(indent, f"{self.spec(c, local)}(r, F, G)")
         elif isinstance(c, Abort):
@@ -350,18 +348,20 @@ class _Generator:
 class CompiledProgram:
     """A program specialised for execution: one generated module, compiled
     once.  `procedures` maps each procedure with a body to its function;
-    with `entry` given, `check` holds that procedure's pre-state sampler,
-    postcondition and contract language, as `check_triple_random` uses
-    them."""
+    with `entry` given, only the procedures that `entry` reaches by calls
+    are compiled, and `check` holds its pre-state sampler, postcondition
+    and contract language, as `check_triple_random` uses them.  A bodiless
+    procedure is compiled only where it is called."""
 
     def __init__(self, p: Program, entry: Optional[str] = None) -> None:
         self.program = p
         self.globals = tuple((n, gv.type == "bool", gv.init) for n, gv in p.variables.items())
         gen = _Generator(p)
-        for name, proc in p.procedures.items():
-            if proc.body is None:
-                gen.bodiless[name] = gen.spec(proc.spec_stmt(), {})
-        names = {name: gen.procedure(name) for name, proc in p.procedures.items() if proc.body is not None}
+        gen.calls = list(p.procedures) if entry is None else [entry]
+        names: dict[str, str] = {}
+        for name in gen.calls:  # grows as the generated bodies call procedures
+            if name not in names and p.procedures[name].body is not None:
+                names[name] = gen.procedure(name)
         check = gen.check(entry) if entry is not None else "None"
         table = ", ".join(f"{name!r}: {fn}" for name, fn in names.items())
         self.procedures: dict[str, Callable[..., dict[str, Value]]]

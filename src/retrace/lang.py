@@ -10,8 +10,10 @@ annotations and `//` starts a line comment.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional, Union
+from itertools import accumulate
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from . import regex as rx
 from .formula import (
@@ -221,18 +223,54 @@ _SYMBOLS = [
     "(", ")", "{", "}", ";", ",", "=", "!", "<", ">", "+", "-", "*", "|",
 ]
 
-# One group per token kind; blanks and `//` comments match none.  Integers are
-# Unicode decimal digits, which int() accepts.  `\w` also matches other digits,
-# such as '²', and a word that starts with one is an unexpected character.
+# One match per token: a gap of blanks, newlines and `//` comments, then one
+# group per token kind.  Blanks are spelled out because `\s` would also skip a
+# form feed or a no-break space, which are unexpected characters.  A primed
+# name keeps its prime, so the text alone tells keywords and symbols from any
+# other token.  Integers are Unicode decimal digits, which int() accepts; `\w`
+# also matches other digits, such as '²', and a word that starts with one is
+# an unexpected character.  A comment on the last line belongs to `eof`, which
+# sits where that line's code ends.  An unexpected character takes the rest of
+# the input, so it is always the last token before an empty `eof`.
 _TOKEN = re.compile(
-    r"[ \t\r]+|//[^\n]*"
-    r"|(?P<newline>\n)"
-    r"|(?P<int>\d+)"
+    r"(?:[ \t\r\n]+|//[^\n]*(?=\n))*"
+    r"(?:(?P<int>\d+)"
     r"|(?P<sym>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")"
-    r"|(?P<pident>\w+)'"
+    r"|(?P<pident>\w+')"
     r"|(?P<ident>\w+)"
-    r"|(?P<bad>.)"
+    r"|(?P<eof>(?://[^\n]*)?\Z)"
+    r"|(?P<bad>(?s:.+)))"
 )
+
+_Tok = tuple[str, str, int]  # kind, text, character offset
+
+
+def _spans(src: str) -> Callable[[int], Span]:
+    """Maps a character offset of `src` to its 1-based line and column, by
+    bisecting the offsets at which lines start."""
+    starts = list(accumulate(map((1).__add__, map(len, src.split("\n"))), initial=0))
+
+    def span(off: int) -> Span:
+        line = bisect_right(starts, off)
+        return Span(line, off - starts[line - 1] + 1)
+
+    return span
+
+
+def _lex(src: str) -> list[_Tok]:
+    """`(kind, text, offset)` for each token of `src`, the last one `eof`."""
+    toks = [(k := m.lastgroup, m[k], m.start(k)) for m in _TOKEN.finditer(src)]
+    last = toks.pop()
+    if toks and toks[-1][0] in ("eof", "bad"):
+        last = toks.pop()  # followed by an empty match at the end of the input
+    bad = last if last[0] == "bad" else None
+    if not src.isascii():  # only then can a word start with a digit
+        words = (t for t in toks if t[0] in ("ident", "pident"))
+        bad = next((t for t in words if not (t[1][0].isalpha() or t[1][0] == "_")), bad)
+    if bad:
+        raise ParseError(f"unexpected character {bad[1][0]!r}", *_at(_spans(src)(bad[2])))
+    toks.append(("eof", "", last[2]))  # without the comment its match may hold
+    return toks
 
 
 class Token(NamedTuple):
@@ -243,25 +281,15 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        text = m.group(kind)
-        col = m.start() - line_start + 1
-        if kind == "bad" or (kind in ("ident", "pident") and not (text[0].isalpha() or text[0] == "_")):
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        toks.append(Token(kind, text, line, col))
-    # the end of input sits where the last line's code ends, before any comment
-    end = src.find("//", line_start)
-    toks.append(Token("eof", "", line, (len(src) if end < 0 else end) - line_start + 1))
-    return toks
+    """The tokens of `src` with their positions; a primed name's text is
+    the name without its prime."""
+    span = _spans(src)
+    return [Token(t[0], _word(t), *_at(span(t[2]))) for t in _lex(src)]
+
+
+def _word(t: _Tok) -> str:
+    """A token's text as messages show it: a name without its prime."""
+    return t[1].rstrip("'")
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +303,21 @@ _COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 _BINDING = {"==>": 0, "||": 1, "&&": 2, **dict.fromkeys(_COMPARISONS, 3), "+": 4, "-": 4, "*": 5}
 # the operators that continue a run built as one node, not re-flattened per operator
 _RUNS = {"&&": ("&&",), "||": ("||",), "+": ("+", "-"), "-": ("+", "-")}
+# Binding powers in regexes: `|`, then concatenation, which a name or `(`
+# after a regex continues, then the postfix `*` and `+`.
+_RE_BINDING = {"|": 0, "(": 1, "*": 2, "+": 2}
 
 
 class _Parser:
+    """Recursive descent over `(kind, text, offset)` tokens; a position is
+    computed from the offset only for a span or an error."""
+
     def __init__(self, src: str, source: str = "<input>") -> None:
-        self.toks = tokenize(src)
+        self.toks = _lex(src)
+        self.span = _spans(src)
         self.pos = 0
         self.source = source
-        self.events: list[str] = []
+        self.events: dict[str, None] = {}  # in declaration order
         self.consts: dict[str, int] = {}
         self.globals: dict[str, GlobalVar] = {}
         self.procs: dict[str, Procedure] = {}
@@ -291,127 +326,106 @@ class _Parser:
 
     # token plumbing
 
-    def peek(self, off: int = 0) -> Token:
-        return self.toks[self.pos + off]
+    def error(self, msg: str, t: _Tok, cls: type[SourceError] = ParseError) -> SourceError:
+        return cls(msg, *_at(self.span(t[2])))
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
+    def accept(self, text: str) -> bool:
+        if self.toks[self.pos][1] == text:
             self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> _Tok:
+        t = self.toks[self.pos]
+        if t[1] != text:
+            raise self.error(f"expected {text!r}, found {_word(t)!r}", t)
+        self.pos += 1
         return t
 
-    def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in ("sym", "ident")
-
-    def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.next()
-        return None
-
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return self.next()
-
-    def span(self) -> Span:
-        t = self.peek()
-        return Span(t.line, t.col)
-
-    def at_name(self) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text not in KEYWORDS
-
-    def ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if not self.at_name():
-            raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
-        return self.next()
+    def ident(self, what: str = "identifier") -> _Tok:
+        t = self.toks[self.pos]
+        if t[0] != "ident" or t[1] in KEYWORDS:
+            raise self.error(f"expected {what}, found {_word(t)!r}", t)
+        self.pos += 1
+        return t
 
     def event(self) -> str:
         t = self.ident("event name")
-        if t.text not in self.events:
-            raise UndeclaredEvent(f"event {t.text!r} not declared", t.line, t.col)
-        return t.text
+        if t[1] not in self.events:
+            raise self.error(f"event {t[1]!r} not declared", t, UndeclaredEvent)
+        return t[1]
+
+    def clause(self, keywords: tuple[str, ...]) -> Optional[str]:
+        """The keyword of an annotation `_(kw ...` with `kw` in `keywords`,
+        consumed with its `_(`, or None."""
+        toks, pos = self.toks, self.pos
+        kw = _word(toks[pos + 1]) if toks[pos][1] == "_(" else None
+        if kw not in keywords:
+            return None
+        self.pos = pos + 2
+        return kw
 
     # declarations
 
     def parse_program(self) -> Program:
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if self.at("events"):
-                self.parse_events()
-            elif self.at("const"):
-                self.parse_const()
-            elif self.at("bool") or self.at("int"):
-                self.parse_global()
-            elif self.at("proc"):
-                self.parse_proc()
-            else:
-                raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
-        return Program(
-            events=tuple(self.events),
-            consts=self.consts,
-            variables=self.globals,
-            procedures=self.procs,
-            source=self.source,
-        )
+        toks = self.toks
+        while (t := toks[self.pos])[0] != "eof":
+            rule = self.DECLARATIONS.get(t[1])
+            if rule is None:
+                raise self.error(f"expected a declaration, found {_word(t)!r}", t)
+            rule(self)
+        return Program(tuple(self.events), self.consts, self.globals, self.procs, source=self.source)
 
-    def _check_fresh(self, tok: Token) -> None:
-        name = tok.text
-        if (
-            name in self.events
-            or name in self.consts
-            or name in self.globals
-            or name in self.procs
-        ):
-            raise DuplicateName(f"name {name!r} already declared", tok.line, tok.col)
+    def _check_fresh(self, t: _Tok) -> None:
+        name = t[1]
+        if name in self.events or name in self.consts or name in self.globals or name in self.procs:
+            raise self.error(f"name {name!r} already declared", t, DuplicateName)
 
     def parse_events(self) -> None:
-        self.expect("events")
+        self.pos += 1
         while True:
             t = self.ident("event name")
             self._check_fresh(t)
-            self.events.append(t.text)
+            self.events[t[1]] = None
             if not self.accept(","):
                 break
         self.expect(";")
 
     def parse_const(self) -> None:
-        self.expect("const")
+        self.pos += 1
         t = self.ident("constant name")
         self._check_fresh(t)
         self.expect("=")
-        negate = self.accept("-") is not None
-        num = self.peek()
-        if num.kind != "int":
-            raise ParseError("constant initializer must be an integer literal", num.line, num.col)
-        self.next()
+        negate = self.accept("-")
+        num = self.toks[self.pos]
+        if num[0] != "int":
+            raise self.error("constant initializer must be an integer literal", num)
+        self.pos += 1
         self.expect(";")
-        self.consts[t.text] = -int(num.text) if negate else int(num.text)
+        self.consts[t[1]] = -int(num[1]) if negate else int(num[1])
 
     def parse_global(self) -> None:
-        ty = self.next().text
+        ty = self.toks[self.pos][1]
+        self.pos += 1
         t = self.ident("variable name")
         self._check_fresh(t)
         init: Optional[Union[bool, int]] = None
         if self.accept("="):
             val = self.parse_expression()
             if _type(val) != ty:
-                raise TypeMismatch(f"initializer for {ty} variable {t.text!r} has type {_type(val)}", t.line, t.col)
+                raise self.error(f"initializer for {ty} variable {t[1]!r} has type {_type(val)}", t, TypeMismatch)
             if isinstance(val, Term) and val.is_const():
                 init = val.const
             elif isinstance(val, BoolLit):
                 init = val.value
             else:
-                raise ParseError("global initializer must be constant", t.line, t.col)
+                raise self.error("global initializer must be constant", t)
         self.expect(";")
-        self.globals[t.text] = GlobalVar(t.text, ty, init)
+        self.globals[t[1]] = GlobalVar(t[1], ty, init)
 
     def parse_proc(self) -> None:
-        sp = self.span()
-        self.expect("proc")
+        sp = self.span(self.toks[self.pos][2])
+        self.pos += 1
         t = self.ident("procedure name")
         self._check_fresh(t)
         self.expect("(")
@@ -421,12 +435,7 @@ class _Parser:
         ensures: list[Formula] = []
         options: list[TraceOption] = []
         modifies: list[str] = []
-        while self.at("_("):
-            kw = self.peek(1).text
-            if kw not in ("requires", "ensures", "trace", "modifies"):
-                break
-            self.next()
-            self.next()
+        while kw := self.clause(("requires", "ensures", "trace", "modifies")):
             if kw == "requires":
                 requires.append(self.parse_formula())
             elif kw == "ensures":
@@ -436,20 +445,17 @@ class _Parser:
                 finally:
                     self.allow_primed = False
             elif kw == "modifies":
-                while True:
-                    m = self.ident("variable name")
-                    modifies.append(m.text)
-                    if not self.accept(","):
-                        break
+                modifies.append(self.ident("variable name")[1])
+                while self.accept(","):
+                    modifies.append(self.ident("variable name")[1])
             else:
-                if self.at("local"):
-                    t2 = self.peek()
-                    raise ParseError("'local' trace annotations belong on loops", t2.line, t2.col)
+                if (t2 := self.toks[self.pos])[1] == "local":
+                    raise self.error("'local' trace annotations belong on loops", t2)
                 options.append(self.parse_trace_option())
             self.expect(")")
         body = None if self.accept(";") else self.parse_block()
-        self.procs[t.text] = Procedure(
-            t.text, requires=conj(*requires), ensures=conj(*ensures),
+        self.procs[t[1]] = Procedure(
+            t[1], requires=conj(*requires), ensures=conj(*ensures),
             trace=TraceSpec(tuple(options)), modifies=tuple(modifies),
             locals=dict(self.cur_locals), body=body, span=sp,
         )
@@ -458,131 +464,113 @@ class _Parser:
 
     def parse_block(self) -> Seq:
         self.expect("{")
+        toks, rules = self.toks, self.STATEMENTS
         stmts: list[Command] = []
-        while not self.at("}"):
-            if self.peek().kind == "eof":
-                t = self.peek()
-                raise ParseError("unterminated block", t.line, t.col)
-            s = self.parse_statement()
+        while (t := toks[self.pos])[1] != "}":
+            if t[0] == "eof":
+                raise self.error("unterminated block", t)
+            s = rules.get(t[1], _Parser.parse_simple)(self)
             if s is not None:
                 stmts.append(s)
-        self.expect("}")
+        self.pos += 1
         return Seq(tuple(stmts))
 
-    def parse_statement(self) -> Optional[Command]:
-        t = self.peek()
-        if self.at("{"):
-            return self.parse_block()
-        if self.at("if"):
-            return self.parse_if()
-        if self.at("while"):
-            return self.parse_while()
-        if self.at("_("):
-            sp = self.span()
-            self.next()
-            kw = self.peek()
-            if kw.text == "emit":
-                self.next()
-                ev = self.event()
-                self.expect(")")
-                return Emit(ev, span=sp)
-            raise ParseError(f"unexpected annotation {kw.text!r} in statement position", kw.line, kw.col)
-        if self.at("bool") or self.at("int"):
-            return self.parse_local_decl()
-        if self.at_name():
-            sp = self.span()
-            name = self.next()
-            if self.accept("("):
-                self.expect(")")
-                self.expect(";")
-                return Call(name.text, span=sp)
-            self.expect("=")
-            stmt = self.parse_assign_rhs(name, sp)
+    def parse_simple(self) -> Command:
+        """`x = e;`, `x = nondet();` or `p();`."""
+        toks, pos = self.toks, self.pos
+        t = toks[pos]
+        if t[0] != "ident" or t[1] in KEYWORDS:
+            raise self.error(f"expected a statement, found {_word(t)!r}", t)
+        sp = self.span(t[2])
+        if toks[pos + 1][1] == "(":
+            self.pos = pos + 2
+            self.expect(")")
             self.expect(";")
-            return stmt
-        raise ParseError(f"expected a statement, found {t.text!r}", t.line, t.col)
-
-    def parse_local_decl(self) -> Optional[Command]:
-        ty = self.next().text
-        t = self.ident("variable name")
-        if t.text in self.cur_locals or t.text in self.globals:
-            raise DuplicateName(f"variable {t.text!r} already declared", t.line, t.col)
-        self._check_fresh(t)
-        self.cur_locals[t.text] = ty
-        stmt: Optional[Command] = None
-        if self.accept("="):
-            stmt = self.parse_assign_rhs(t, Span(t.line, t.col))
+            return Call(t[1], span=sp)
+        self.pos = pos + 1
+        self.expect("=")
+        stmt = self.parse_assign_rhs(t, sp)
         self.expect(";")
         return stmt
 
-    def parse_assign_rhs(self, name: Token, sp: Span) -> Command:
-        ty = self._var_type(name)
-        if self.at("nondet"):
-            self.next()
+    def parse_emit(self) -> Emit:
+        toks, pos = self.toks, self.pos
+        kw = toks[pos + 1]
+        if kw[1] == "emit" and toks[pos + 2][1] in self.events and toks[pos + 3][1] == ")":
+            self.pos = pos + 4  # the common case at once; the steps below give the errors
+            return Emit(toks[pos + 2][1], self.span(toks[pos][2]))
+        if _word(kw) != "emit":
+            raise self.error(f"unexpected annotation {_word(kw)!r} in statement position", kw)
+        self.pos = pos + 2
+        ev = self.event()
+        self.expect(")")
+        return Emit(ev, self.span(toks[pos][2]))
+
+    def parse_local_decl(self) -> Optional[Command]:
+        ty = self.toks[self.pos][1]
+        self.pos += 1
+        t = self.ident("variable name")
+        if t[1] in self.cur_locals or t[1] in self.globals:
+            raise self.error(f"variable {t[1]!r} already declared", t, DuplicateName)
+        self._check_fresh(t)
+        self.cur_locals[t[1]] = ty
+        stmt = self.parse_assign_rhs(t, self.span(t[2])) if self.accept("=") else None
+        self.expect(";")
+        return stmt
+
+    def parse_assign_rhs(self, name: _Tok, sp: Span) -> Command:
+        ty = self._var_type(name[1], name)
+        if self.accept("nondet"):
             self.expect("(")
             self.expect(")")
-            return Havoc(name.text, span=sp)
+            return Havoc(name[1], span=sp)
         val = self.parse_expression()
         if _type(val) != ty:
-            raise TypeMismatch(
-                f"cannot assign {_type(val)} expression to {ty} variable {name.text!r}",
-                name.line,
-                name.col,
-            )
-        return Assign(name.text, val, span=sp)
+            raise self.error(f"cannot assign {_type(val)} expression to {ty} variable {name[1]!r}", name, TypeMismatch)
+        return Assign(name[1], val, span=sp)
 
     def parse_if(self) -> If:
-        sp = self.span()
-        self.expect("if")
+        sp = self.span(self.toks[self.pos][2])
+        self.pos += 1
+        test = self._test()
+        then = self._branch()
+        return If(test, then, self._branch() if self.accept("else") else Seq(()), span=sp)
+
+    def _test(self) -> Formula:
         self.expect("(")
         test = self.parse_formula()
         self.expect(")")
-        then = self._branch()
-        orelse: Command = Seq(())
-        if self.accept("else"):
-            orelse = self._branch()
-        return If(test, then, orelse, span=sp)
+        return test
 
     def _branch(self) -> Command:
-        s = self.parse_statement()
+        s = self.STATEMENTS.get(self.toks[self.pos][1], _Parser.parse_simple)(self)
         if isinstance(s, Seq):
             return s
         return Seq(() if s is None else (s,))
 
     def parse_while(self) -> While:
-        sp = self.span()
-        self.expect("while")
-        self.expect("(")
-        test = self.parse_formula()
-        self.expect(")")
+        sp = self.span(self.toks[self.pos][2])
+        self.pos += 1
+        test = self._test()
         invariants: list[Formula] = []
         options: list[TraceOption] = []
         local_flag = False
-        while self.at("_(") and self.peek(1).text in ("invariant", "trace"):
-            self.next()
-            kw = self.next().text
+        while kw := self.clause(("invariant", "trace")):
             if kw == "invariant":
                 invariants.append(self.parse_formula())
             else:
-                is_local = self.accept("local") is not None
+                is_local = self.accept("local")
                 option = self.parse_trace_option(is_local)
-                t = self.peek()
+                t = self.toks[self.pos]
                 if options and local_flag != is_local:
-                    raise ParseError("cannot mix local and full-history trace annotations", t.line, t.col)
+                    raise self.error("cannot mix local and full-history trace annotations", t)
                 if options and is_local:
-                    raise ParseError("at most one 'local' trace annotation per loop", t.line, t.col)
+                    raise self.error("at most one 'local' trace annotation per loop", t)
                 local_flag = is_local
                 options.append(option)
             self.expect(")")
         body = self._branch()
-        return While(
-            test,
-            conj(*invariants),
-            TraceSpec(tuple(options)),
-            body,
-            local_trace=local_flag,
-            span=sp,
-        )
+        return While(test, conj(*invariants), TraceSpec(tuple(options)), body, local_trace=local_flag, span=sp)
 
     def parse_trace_option(self, local: bool = False) -> TraceOption:
         """A trace clause `R (if F)?`; a `local` loop clause takes no guard."""
@@ -590,37 +578,34 @@ class _Parser:
         if not self.accept("if"):
             return TraceOption(r, TRUE)
         if local:
-            t = self.peek()
-            raise ParseError("'local' trace annotations take no guard", t.line, t.col)
+            raise self.error("'local' trace annotations take no guard", self.toks[self.pos])
         return TraceOption(r, self.parse_formula())
 
     # regular expressions
 
-    def parse_regex(self) -> rx.Regex:
-        parts = [self._re_cat()]
-        while self.accept("|"):
-            parts.append(self._re_cat())
-        return rx.choice(*parts)
-
-    def _re_cat(self) -> rx.Regex:
-        parts = [self._re_rep()]
-        while self.at_name() or self.at("("):
-            parts.append(self._re_rep())
-        return rx.concat(*parts)
-
-    def _re_rep(self) -> rx.Regex:
+    def parse_regex(self, min_bp: int = 0) -> rx.Regex:
+        """Precedence climbing over `_RE_BINDING`; a run of `|` or of
+        concatenation is built as one node."""
         r = self._re_atom()
-        while True:
-            if self.accept("*"):
-                r = rx.star(r)
-            elif self.accept("+"):
-                r = rx.plus(r)
-            else:
-                return r
+        while (bp := self._re_binding()) >= min_bp:
+            if bp == 2:
+                r = (rx.star if self.toks[self.pos][1] == "*" else rx.plus)(r)
+                self.pos += 1
+                continue
+            parts = [r]
+            while self._re_binding() == bp:
+                self.accept("|")
+                parts.append(self.parse_regex(bp + 1))
+            r = (rx.choice if bp == 0 else rx.concat)(*parts)
+        return r
+
+    def _re_binding(self) -> int:
+        kind, text, _ = self.toks[self.pos]
+        return 1 if kind == "ident" and text not in KEYWORDS else _RE_BINDING.get(text, -1)
 
     def _re_atom(self) -> rx.Regex:
-        t = self.peek()
-        if self.at_name():
+        t = self.toks[self.pos]
+        if t[0] == "ident" and t[1] not in KEYWORDS:
             return rx.symbol(self.event())
         if self.accept("("):
             if self.accept(")"):
@@ -628,37 +613,37 @@ class _Parser:
             r = self.parse_regex()
             self.expect(")")
             return r
-        raise ParseError(f"expected a regular expression, found {t.text!r}", t.line, t.col)
+        raise self.error(f"expected a regular expression, found {_word(t)!r}", t)
 
     # expressions and formulas
 
     def parse_formula(self) -> Formula:
-        t = self.peek()
+        t = self.toks[self.pos]
         return self._as_bool(self.parse_expression(), t, "expression")
 
     def parse_expression(self, min_bp: int = 0) -> Union[Term, Formula]:
         """Precedence climbing over `_BINDING`.  `&&`, `||`, `+` and `-` check
         their left operand at the operator before parsing the right one; the
         other operators check both operands after it."""
+        toks = self.toks
         lhs = self._unary()
-        while (bp := _BINDING.get(self.peek().text, -1)) >= min_bp:
-            t = self.next()
+        while (bp := _BINDING.get((t := toks[self.pos])[1], -1)) >= min_bp:
+            self.pos += 1
             check = self._as_bool if bp < 3 else self._as_int
-            if t.text in _RUNS:
+            if t[1] in _RUNS:
                 check(lhs, t)
-            rhs = self.parse_expression(bp if t.text == "==>" else bp + 1)
+            rhs = self.parse_expression(bp if t[1] == "==>" else bp + 1)
             args = [check(lhs, t), _signed(t, check(rhs, t))]
-            while (u := self.peek()).text in _RUNS.get(t.text, ()):  # one node per run
-                self.next()
+            while (u := toks[self.pos])[1] in _RUNS.get(t[1], ()):  # one node per run
+                self.pos += 1
                 args.append(_signed(u, check(self.parse_expression(bp + 1), u)))
-            lhs = _binary(t, *args)
-            t2 = self.peek()
-            if bp == 3 and t2.text in _COMPARISONS:
-                raise ParseError("comparisons cannot be chained", t2.line, t2.col)
+            lhs = self._binary(t, *args)
+            if bp == 3 and (t2 := toks[self.pos])[1] in _COMPARISONS:
+                raise self.error("comparisons cannot be chained", t2)
         return lhs
 
     def _unary(self) -> Union[Term, Formula]:
-        t = self.peek()
+        t = self.toks[self.pos]
         if self.accept("!"):
             return neg(self._as_bool(self._unary(), t))
         if self.accept("-"):
@@ -666,80 +651,89 @@ class _Parser:
         return self._primary()
 
     def _primary(self) -> Union[Term, Formula]:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return tconst(int(t.text))
+        t = kind, text, _ = self.toks[self.pos]
+        if kind == "int":
+            self.pos += 1
+            return tconst(int(text))
         if self.accept("true"):
             return TRUE
         if self.accept("false"):
             return FALSE
-        if self.at("nondet"):
-            raise ParseError("nondet() is only allowed as the right-hand side of an assignment", t.line, t.col)
+        if text == "nondet":
+            raise self.error("nondet() is only allowed as the right-hand side of an assignment", t)
         if self.accept("("):
             inner = self.parse_expression()
             self.expect(")")
             return inner
-        if t.kind in ("ident", "pident"):
-            if t.kind == "ident" and t.text in KEYWORDS:
-                raise ParseError(f"unexpected keyword {t.text!r}", t.line, t.col)
-            self.next()
-            primed = t.kind == "pident"
+        if kind in ("ident", "pident"):
+            if kind == "ident" and text in KEYWORDS:
+                raise self.error(f"unexpected keyword {text!r}", t)
+            self.pos += 1
+            primed = kind == "pident"
+            name = _word(t)
             if primed and not self.allow_primed:
-                raise ParseError("primed variables are only allowed in ensures clauses", t.line, t.col)
-            if not primed and t.text in self.consts:
-                return tconst(self.consts[t.text])
-            if self._var_type(t) == "bool":
-                return BoolRef(Var(t.text, primed))
-            return tvar(t.text, primed)
-        raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
+                raise self.error("primed variables are only allowed in ensures clauses", t)
+            if not primed and name in self.consts:
+                return tconst(self.consts[name])
+            if self._var_type(name, t) == "bool":
+                return BoolRef(Var(name, primed))
+            return tvar(name, primed)
+        raise self.error(f"expected an expression, found {_word(t)!r}", t)
 
-    def _var_type(self, name: Token) -> str:
-        ty = self.cur_locals.get(name.text)
-        if ty is None and name.text in self.globals:
-            ty = self.globals[name.text].type
+    def _var_type(self, name: str, t: _Tok) -> str:
+        ty = self.cur_locals.get(name)
+        if ty is None and name in self.globals:
+            ty = self.globals[name].type
         if ty is None:
-            raise UndeclaredVariable(f"variable {name.text!r} not declared", name.line, name.col)
+            raise self.error(f"variable {name!r} not declared", t, UndeclaredVariable)
         return ty
 
-    def _as_bool(self, e: Union[Term, Formula], t: Token, what: str = "operand") -> Formula:
+    def _as_bool(self, e: Union[Term, Formula], t: _Tok, what: str = "operand") -> Formula:
         if not isinstance(e, Formula):
-            raise TypeMismatch(f"expected a boolean {what}", t.line, t.col)
+            raise self.error(f"expected a boolean {what}", t, TypeMismatch)
         return e
 
-    def _as_int(self, e: Union[Term, Formula], t: Token) -> Term:
+    def _as_int(self, e: Union[Term, Formula], t: _Tok) -> Term:
         if not isinstance(e, Term):
-            raise TypeMismatch("expected an integer operand", t.line, t.col)
+            raise self.error("expected an integer operand", t, TypeMismatch)
         return e
 
+    def _binary(self, t: _Tok, a: Any, b: Any, *more: Any) -> Union[Term, Formula]:
+        """`a op b` for the operator token `t`, on operands of the checked type."""
+        op = t[1]
+        if op == "==>":
+            return implies(a, b)
+        if op in ("||", "&&"):
+            return (disj if op == "||" else conj)(a, b, *more)
+        if op in ("+", "-"):  # the operands come signed
+            return term_sum((a, b, *more))
+        if op == "*":
+            if a.is_const():
+                return b.scaled(a.const)
+            if b.is_const():
+                return a.scaled(b.const)
+            raise self.error("only linear terms are supported", t)
+        if op in (">", ">="):  # a > b is b < a
+            op, a, b = op.replace(">", "<"), b, a
+        return cmp(op, a, b)
 
-def _signed(t: Token, e: Any) -> Any:
+    # one rule per leading token text
+    DECLARATIONS = {
+        "events": parse_events, "const": parse_const, "bool": parse_global, "int": parse_global, "proc": parse_proc,
+    }
+    STATEMENTS = {
+        "{": parse_block, "if": parse_if, "while": parse_while, "_(": parse_emit,
+        "bool": parse_local_decl, "int": parse_local_decl,
+    }
+
+
+def _signed(t: _Tok, e: Any) -> Any:
     """An operand of `t` with the sign it adds under: negated after `-`."""
-    return -e if t.text == "-" else e
+    return -e if t[1] == "-" else e
 
 
 def _type(e: Union[Term, Formula]) -> str:
     return "int" if isinstance(e, Term) else "bool"
-
-
-def _binary(t: Token, a: Any, b: Any, *more: Any) -> Union[Term, Formula]:
-    """`a op b` for the operator token `t`, on operands of the checked type."""
-    op = t.text
-    if op == "==>":
-        return implies(a, b)
-    if op in ("||", "&&"):
-        return (disj if op == "||" else conj)(a, b, *more)
-    if op in ("+", "-"):  # the operands come signed
-        return term_sum((a, b, *more))
-    if op == "*":
-        if a.is_const():
-            return b.scaled(a.const)
-        if b.is_const():
-            return a.scaled(b.const)
-        raise ParseError("only linear terms are supported", t.line, t.col)
-    if op in (">", ">="):  # a > b is b < a
-        op, a, b = op.replace(">", "<"), b, a
-    return cmp(op, a, b)
 
 
 def parse(src: str, source: str = "<input>") -> Program:
@@ -1005,7 +999,8 @@ def _at(span: Optional[Span]) -> tuple[Optional[int], Optional[int]]:
 def _assigned(c: Command, mods: set[str], callees: set[str]) -> None:
     if isinstance(c, Seq):
         for s in c.stmts:
-            _assigned(s, mods, callees)
+            if not isinstance(s, Emit):
+                _assigned(s, mods, callees)
     elif isinstance(c, (Assign, Havoc)):
         mods.add(c.var)
     elif isinstance(c, If):

@@ -25,6 +25,7 @@ from retrace.formula import (
     tconst,
     tvar,
 )
+from retrace import interp
 from retrace.interp import CompiledProgram, NoSatisfyingState, check_triple_random, run
 from retrace.lang import (
     Assign,
@@ -441,3 +442,38 @@ def test_compiled_program_is_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+_REACH = """events a, b, gone, never;
+int x;
+proc spec_called() _(modifies x) _(ensures x' == 1) _(trace b);
+proc spec_unused() _(trace never);
+proc lonely() _(trace never);
+proc leaf() { x = x + 1; spec_called(); }
+proc main() { _(emit a) leaf(); main_tail(); }
+proc main_tail() { _(emit b) }
+proc unused() { _(emit gone) spec_unused(); abort(); }
+"""
+
+
+def test_check_compiles_only_what_its_entry_calls(monkeypatch):
+    sources = []
+    real = interp.build
+    monkeypatch.setattr(interp, "build", lambda lines, ns: sources.append("\n".join(lines)) or real(lines, ns))
+    p = load(_REACH)
+    assert set(CompiledProgram(p, "main").procedures) == {"main", "leaf", "main_tail"}
+    # the unreachable body, and the bodiless `abort` and `spec_unused`, are not generated
+    assert "'gone'" not in sources[-1] and sources[-1].count("def _s") == 1
+    # without an entry every body is generated, and still only the called bodiless procedures
+    assert set(CompiledProgram(p).procedures) == {"main", "leaf", "main_tail", "unused"}
+    assert "'gone'" in sources[-1] and sources[-1].count("def _s") == 3
+    # a check of the unreachable procedure compiles it and runs as the reference
+    # does: `abort()` has no transition, so every run ends stuck
+    code = CompiledProgram(p, "unused")
+    assert set(code.procedures) == {"unused"}
+    for seed in range(4):
+        assert _same_run(p, code, "unused", seed, 64).trace == ("gone", "never")
+    rep = check_triple_random(p, "unused", runs=5, seed=3)
+    assert (rep.fuel_exhausted, rep.completed, rep.violations) == (5, 0, [])
+    for seed in range(4):
+        assert _same_run(p, CompiledProgram(p, "main"), "main", seed, 64).trace == ("a", "b", "b")
