@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from . import regex as rx
 from .formula import (
@@ -118,7 +118,7 @@ def _flat(c: Command) -> list[Command]:
     """The statements of `c`, nested sequences spliced in."""
     if not isinstance(c, Seq):
         return [c]
-    return [s for t in c.stmts for s in (_flat(t) if isinstance(t, Seq) else (t,))]
+    return [s for t in c.stmts for s in _flat(t)]
 
 
 class _Function:
@@ -154,7 +154,7 @@ class _Generator:
         self.functions: list[str] = []
         self.count = 0
         self.bodiless: dict[str, str] = {}  # the functions of the called bodiless procedures
-        self.calls: list[str] = []  # the procedures called
+        self.reached: list[str] = []  # the procedures with a body to compile, each once
         self.namespace: dict[str, Any] = {
             "_Aborted": _Aborted,
             "_OutOfFuel": _OutOfFuel,
@@ -210,6 +210,18 @@ class _Generator:
             return self.const(lang), lang
         guards = "".join(render.formula(o.guard) + ", " for o in spec.options)
         return f"{self.const(union)}(({guards}))", None
+
+    def reach(self, name: str) -> None:
+        if name not in self.reached:
+            self.reached.append(name)
+
+    def procedures(self, roots: Iterable[str]) -> dict[str, str]:
+        """The function of each procedure with a body among `roots` or
+        called from them, directly or not, in the order first reached."""
+        for name in roots:
+            if self.p.procedures[name].body is not None:
+                self.reach(name)
+        return {name: self.procedure(name) for name in self.reached}  # grows as bodies call procedures
 
     def procedure(self, name: str) -> str:
         proc = self.p.procedures[name]
@@ -276,10 +288,13 @@ class _Generator:
         elif isinstance(c, Call):
             fn.emit(indent, *_BURN)
             callee = self.p.procedures[c.proc]
-            if callee.body is None and c.proc not in self.bodiless:
-                self.bodiless[c.proc] = self.spec(callee.spec_stmt(), {})
-            self.calls.append(c.proc)
-            fn.emit(indent, f"{self.bodiless[c.proc]}(r, F, G)" if c.proc in self.bodiless else f"r.procedures[{c.proc!r}](r, None)")
+            if callee.body is not None:
+                self.reach(c.proc)
+                fn.emit(indent, f"r.procedures[{c.proc!r}](r, None)")
+            else:
+                if c.proc not in self.bodiless:
+                    self.bodiless[c.proc] = self.spec(callee.spec_stmt(), {})
+                fn.emit(indent, f"{self.bodiless[c.proc]}(r, F, G)")
         elif isinstance(c, SpecStmt):
             fn.emit(indent, f"{self.spec(c, local)}(r, F, G)")
         elif isinstance(c, Abort):
@@ -357,11 +372,7 @@ class CompiledProgram:
         self.program = p
         self.globals = tuple((n, gv.type == "bool", gv.init) for n, gv in p.variables.items())
         gen = _Generator(p)
-        gen.calls = list(p.procedures) if entry is None else [entry]
-        names: dict[str, str] = {}
-        for name in gen.calls:  # grows as the generated bodies call procedures
-            if name not in names and p.procedures[name].body is not None:
-                names[name] = gen.procedure(name)
+        names = gen.procedures(p.procedures if entry is None else [entry])
         check = gen.check(entry) if entry is not None else "None"
         table = ", ".join(f"{name!r}: {fn}" for name, fn in names.items())
         self.procedures: dict[str, Callable[..., dict[str, Value]]]

@@ -303,9 +303,6 @@ _COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 _BINDING = {"==>": 0, "||": 1, "&&": 2, **dict.fromkeys(_COMPARISONS, 3), "+": 4, "-": 4, "*": 5}
 # the operators that continue a run built as one node, not re-flattened per operator
 _RUNS = {"&&": ("&&",), "||": ("||",), "+": ("+", "-"), "-": ("+", "-")}
-# Binding powers in regexes: `|`, then concatenation, which a name or `(`
-# after a regex continues, then the postfix `*` and `+`.
-_RE_BINDING = {"|": 0, "(": 1, "*": 2, "+": 2}
 
 
 class _Parser:
@@ -350,9 +347,11 @@ class _Parser:
         return t
 
     def event(self) -> str:
-        t = self.ident("event name")
-        if t[1] not in self.events:
+        t = self.toks[self.pos]
+        if t[1] not in self.events:  # declared events are names, so only a name can be one
+            self.ident("event name")
             raise self.error(f"event {t[1]!r} not declared", t, UndeclaredEvent)
+        self.pos += 1
         return t[1]
 
     def clause(self, keywords: tuple[str, ...]) -> Optional[str]:
@@ -374,11 +373,22 @@ class _Parser:
             if rule is None:
                 raise self.error(f"expected a declaration, found {_word(t)!r}", t)
             rule(self)
-        return Program(tuple(self.events), self.consts, self.globals, self.procs, source=self.source)
+        return Program(
+            events=tuple(self.events),
+            consts=self.consts,
+            variables=self.globals,
+            procedures=self.procs,
+            source=self.source,
+        )
 
     def _check_fresh(self, t: _Tok) -> None:
         name = t[1]
-        if name in self.events or name in self.consts or name in self.globals or name in self.procs:
+        if (
+            name in self.events
+            or name in self.consts
+            or name in self.globals
+            or name in self.procs
+        ):
             raise self.error(f"name {name!r} already declared", t, DuplicateName)
 
     def parse_events(self) -> None:
@@ -496,9 +506,6 @@ class _Parser:
     def parse_emit(self) -> Emit:
         toks, pos = self.toks, self.pos
         kw = toks[pos + 1]
-        if kw[1] == "emit" and toks[pos + 2][1] in self.events and toks[pos + 3][1] == ")":
-            self.pos = pos + 4  # the common case at once; the steps below give the errors
-            return Emit(toks[pos + 2][1], self.span(toks[pos][2]))
         if _word(kw) != "emit":
             raise self.error(f"unexpected annotation {_word(kw)!r} in statement position", kw)
         self.pos = pos + 2
@@ -526,7 +533,11 @@ class _Parser:
             return Havoc(name[1], span=sp)
         val = self.parse_expression()
         if _type(val) != ty:
-            raise self.error(f"cannot assign {_type(val)} expression to {ty} variable {name[1]!r}", name, TypeMismatch)
+            raise self.error(
+                f"cannot assign {_type(val)} expression to {ty} variable {name[1]!r}",
+                name,
+                TypeMismatch,
+            )
         return Assign(name[1], val, span=sp)
 
     def parse_if(self) -> If:
@@ -570,7 +581,14 @@ class _Parser:
                 options.append(option)
             self.expect(")")
         body = self._branch()
-        return While(test, conj(*invariants), TraceSpec(tuple(options)), body, local_trace=local_flag, span=sp)
+        return While(
+            test,
+            conj(*invariants),
+            TraceSpec(tuple(options)),
+            body,
+            local_trace=local_flag,
+            span=sp,
+        )
 
     def parse_trace_option(self, local: bool = False) -> TraceOption:
         """A trace clause `R (if F)?`; a `local` loop clause takes no guard."""
@@ -583,25 +601,27 @@ class _Parser:
 
     # regular expressions
 
-    def parse_regex(self, min_bp: int = 0) -> rx.Regex:
-        """Precedence climbing over `_RE_BINDING`; a run of `|` or of
-        concatenation is built as one node."""
-        r = self._re_atom()
-        while (bp := self._re_binding()) >= min_bp:
-            if bp == 2:
-                r = (rx.star if self.toks[self.pos][1] == "*" else rx.plus)(r)
-                self.pos += 1
-                continue
-            parts = [r]
-            while self._re_binding() == bp:
-                self.accept("|")
-                parts.append(self.parse_regex(bp + 1))
-            r = (rx.choice if bp == 0 else rx.concat)(*parts)
-        return r
+    def parse_regex(self) -> rx.Regex:
+        parts = [self._re_cat()]
+        while self.accept("|"):
+            parts.append(self._re_cat())
+        return rx.choice(*parts)
 
-    def _re_binding(self) -> int:
-        kind, text, _ = self.toks[self.pos]
-        return 1 if kind == "ident" and text not in KEYWORDS else _RE_BINDING.get(text, -1)
+    def _re_cat(self) -> rx.Regex:
+        parts = [self._re_rep()]
+        while (t := self.toks[self.pos])[1] == "(" or (t[0] == "ident" and t[1] not in KEYWORDS):
+            parts.append(self._re_rep())
+        return rx.concat(*parts)
+
+    def _re_rep(self) -> rx.Regex:
+        r = self._re_atom()
+        while True:
+            if self.accept("*"):
+                r = rx.star(r)
+            elif self.accept("+"):
+                r = rx.plus(r)
+            else:
+                return r
 
     def _re_atom(self) -> rx.Regex:
         t = self.toks[self.pos]
@@ -999,8 +1019,7 @@ def _at(span: Optional[Span]) -> tuple[Optional[int], Optional[int]]:
 def _assigned(c: Command, mods: set[str], callees: set[str]) -> None:
     if isinstance(c, Seq):
         for s in c.stmts:
-            if not isinstance(s, Emit):
-                _assigned(s, mods, callees)
+            _assigned(s, mods, callees)
     elif isinstance(c, (Assign, Havoc)):
         mods.add(c.var)
     elif isinstance(c, If):
