@@ -211,16 +211,11 @@ class _Generator:
         guards = "".join(render.formula(o.guard) + ", " for o in spec.options)
         return f"{self.const(union)}(({guards}))", None
 
-    def reach(self, name: str) -> None:
-        if name not in self.reached:
-            self.reached.append(name)
-
     def procedures(self, roots: Iterable[str]) -> dict[str, str]:
-        """The function of each procedure with a body among `roots` or
-        called from them, directly or not, in the order first reached."""
-        for name in roots:
-            if self.p.procedures[name].body is not None:
-                self.reach(name)
+        """The function of each procedure with a body among `roots`, which
+        are distinct, or called from them, directly or not, in the order
+        first reached."""
+        self.reached.extend(name for name in roots if self.p.procedures[name].body is not None)
         return {name: self.procedure(name) for name in self.reached}  # grows as bodies call procedures
 
     def procedure(self, name: str) -> str:
@@ -289,7 +284,8 @@ class _Generator:
             fn.emit(indent, *_BURN)
             callee = self.p.procedures[c.proc]
             if callee.body is not None:
-                self.reach(c.proc)
+                if c.proc not in self.reached:
+                    self.reached.append(c.proc)
                 fn.emit(indent, f"r.procedures[{c.proc!r}](r, None)")
             else:
                 if c.proc not in self.bodiless:
