@@ -3,6 +3,11 @@
 Atoms are boolean variables and comparisons between linear integer terms.
 Variables carry a prime level (0 or 1) so that formulas can describe
 transition relations between a pre- and a post-state.
+
+Terms and formula nodes are interned, as in Filliâtre & Conchon's
+hash-consing: constructing a node whose fields equal an earlier node's
+returns the earlier node, so equality and hashing are by identity and
+O(1).  Variables are plain values that compare and sort by name and prime.
 """
 
 from __future__ import annotations
@@ -31,13 +36,38 @@ class Var:
         return self.name + "'" if self.primed else self.name
 
 
-@dataclass(frozen=True)
-class Term:
+# keys: the node's class and fields; a field that is a node is itself
+# interned, so it hashes and compares by identity
+_interned: dict[tuple, Any] = {}
+
+
+class _Interned(type):
+    """Metaclass of the interned nodes: a call whose class and positional
+    fields equal an earlier call's returns the earlier node."""
+
+    def __call__(cls, *fields: Any) -> Any:
+        key = (cls, *fields)
+        node = _interned.get(key)
+        if node is None:
+            node = _interned[key] = super().__call__(*fields)
+        return node
+
+
+class _Node(metaclass=_Interned):
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled nodes go through the table too
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)  # type: ignore[attr-defined]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Term(_Node):
     """Linear integer term: `const` plus a sum of coefficient * variable,
     with coefficients nonzero and variables sorted."""
 
-    coeffs: tuple[tuple[Var, int], ...] = ()
-    const: int = 0
+    coeffs: tuple[tuple[Var, int], ...]
+    const: int
 
     def __add__(self, other: "Term") -> "Term":
         return term_sum((self, other))
@@ -50,7 +80,7 @@ class Term:
 
     def scaled(self, k: int) -> "Term":
         if k == 0:
-            return Term()
+            return Term((), 0)
         return Term(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
 
     def is_const(self) -> bool:
@@ -87,19 +117,23 @@ def term_sum(terms: Iterable[Term]) -> Term:
         const += t.const
         for v, c in t.coeffs:
             base[v] = base.get(v, 0) + c
+    return _term(base, const)
+
+
+def _term(base: dict[Var, int], const: int) -> Term:
     return Term(tuple(sorted((v, c) for v, c in base.items() if c != 0)), const)
 
 
 def tvar(name: str, primed: bool = False) -> Term:
-    return Term(((Var(name, primed), 1),))
+    return Term(((Var(name, primed), 1),), 0)
 
 
 def tconst(n: int) -> Term:
     return Term((), n)
 
 
-class Formula:
-    """Base class; all nodes are immutable dataclasses."""
+class Formula(_Node):
+    """Base class; all nodes are interned, slotted, frozen dataclasses."""
 
     __slots__ = ()
 
@@ -119,17 +153,17 @@ class Formula:
         return render_formula(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BoolLit(Formula):
     value: bool
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BoolRef(Formula):
     var: Var
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Cmp(Formula):
     op: str  # one of ==, !=, <, <=
     lhs: Term
@@ -140,22 +174,22 @@ class Cmp(Formula):
             raise ValueError(f"bad comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class And(Formula):
     args: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Or(Formula):
     args: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
@@ -283,16 +317,19 @@ def substitute(
     in `post`, looked up by name as `evaluate` reads a state; unbound
     variables stay in place. Only the formula is walked, never the maps."""
     if isinstance(f, Term):
-        parts = [tconst(f.const)]
+        base: dict[Var, int] = {}
+        const = f.const
         for v, c in f.coeffs:
             repl = _binding(v, pre, post)
             if repl is None:
-                parts.append(Term(((v, c),)))
+                base[v] = base.get(v, 0) + c
             elif isinstance(repl, Term):
-                parts.append(repl.scaled(c))
+                const += c * repl.const
+                for w, d in repl.coeffs:
+                    base[w] = base.get(w, 0) + c * d
             else:
                 raise UnboundVariable(f"integer variable {v} bound to {repl!r}")
-        return term_sum(parts)
+        return _term(base, const)
     if isinstance(f, BoolLit):
         return f
     if isinstance(f, BoolRef):

@@ -357,20 +357,15 @@ class _Prefix:
     mentions, and the literals and clauses that propagation then assigned
     and satisfied.  `result` is the answer to a query that ends here, and a
     refuted prefix, one that propagation found contradictory, answers unsat
-    to every query through it.
+    to every query through it.  Children are keyed by their conjunct,
+    which is interned, so a lookup hashes its identity."""
 
-    Children are found by the conjunct's identity first, and by equality
-    only when that fails: a path extended by `conj` reuses its conjunct
-    objects, and hashing a formula walks all of it.  `children` keeps each
-    conjunct alive, so an id in `by_id` is not reused while the trie lives."""
-
-    __slots__ = ("parent", "children", "by_id", "result", "refuted", "atoms", "clauses", "mentions", "assigned",
+    __slots__ = ("parent", "children", "result", "refuted", "atoms", "clauses", "mentions", "assigned",
                  "satisfied")
 
     def __init__(self, parent: Optional[_Prefix]) -> None:
         self.parent = parent
         self.children: dict[Formula, _Prefix] = {}
-        self.by_id: dict[int, _Prefix] = {}
         self.result: Optional[SatResult] = None
         self.refuted = False
         self.atoms: tuple[_Atom, ...] = ()
@@ -434,7 +429,7 @@ class _Query:
         if self.index is None:
             self.index = {a: i for i, a in enumerate(self.atoms)}
             self.seen = set(self.clauses)
-        node = parent.children[conjunct] = parent.by_id[id(conjunct)] = _Prefix(parent)
+        node = parent.children[conjunct] = _Prefix(parent)
         na, nc, nt, ns = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
         # a clause is its NNF part's disjuncts, which tell parts apart, so
         # this is the deduplication of the whole formula's NNF
@@ -709,7 +704,7 @@ class BuiltinSolver(Solver):
         for c in f.args if isinstance(f, And) else (f,):
             if node.refuted:
                 break
-            child = node.by_id.get(id(c)) or node.children.get(c)
+            child = node.children.get(c)
             if child is None:
                 if query is None:
                     query = _Query(node, self._atoms)

@@ -236,7 +236,7 @@ class Verifier:
     def fresh(self, name: str, ty: str) -> SymValue:
         self._fresh_count += 1
         v = Var(f"{name}#{self._fresh_count}")
-        return BoolRef(v) if ty == "bool" else Term(((v, 1),))
+        return BoolRef(v) if ty == "bool" else Term(((v, 1),), 0)
 
     def fresh_store(self, proc: Procedure) -> Store:
         store: Store = {}
