@@ -25,8 +25,11 @@ the solver keeps a trie of its queries keyed by their top-level
 conjuncts.  Each node holds its prefix compiled and unit-propagated, as a
 delta over its parent; a query compiles only the conjuncts past the
 longest prefix the trie holds and then searches, on a fresh budget, from
-that prefix's propagated state.  A query that ends at a node answered
-before gets that answer.  Atoms, and the linear constraints of their
+that prefix's propagated state.  One live context holds the state of one
+node; moving it to the next query's node pops back to their common
+ancestor and replays the deltas down, so a query costs its distance from
+the previous one.  A query that ends at a node answered before gets that
+answer.  Atoms, and the linear constraints of their
 literals, are made once per solver.  Every answer and model is the one
 that compiling the whole formula afresh gives: the atoms keep their order
 of first occurrence, the clauses their deduplication, and propagation
@@ -355,17 +358,21 @@ class _Prefix:
     compiled and unit-propagated.  It is stored as a delta over its parent:
     the atoms and clauses its conjunct adds, the atoms each new clause
     mentions, and the literals and clauses that propagation then assigned
-    and satisfied.  `result` is the answer to a query that ends here, and a
-    refuted prefix, one that propagation found contradictory, answers unsat
-    to every query through it.  Children are keyed by their conjunct,
-    which is interned, so a lookup hashes its identity."""
+    and satisfied; `size` is the length of the atoms, clauses, trail and
+    satisfied clauses from the root to here.  `result` is the answer to a
+    query that ends here, and a refuted prefix, one that propagation found
+    contradictory, answers unsat to every query through it.  Children are
+    keyed by their conjunct, which is interned, so a lookup hashes its
+    identity."""
 
-    __slots__ = ("parent", "children", "result", "refuted", "atoms", "clauses", "mentions", "assigned",
-                 "satisfied")
+    __slots__ = ("parent", "children", "depth", "size", "result", "refuted", "atoms", "clauses", "mentions",
+                 "assigned", "satisfied")
 
     def __init__(self, parent: Optional[_Prefix]) -> None:
         self.parent = parent
         self.children: dict[Formula, _Prefix] = {}
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.size = (0, 0, 0, 0)
         self.result: Optional[SatResult] = None
         self.refuted = False
         self.atoms: tuple[_Atom, ...] = ()
@@ -376,61 +383,107 @@ class _Prefix:
 
 
 class _Query:
-    """One satisfiability query: DPLL with unit propagation over the clauses
-    of the formula's negation normal form, Fourier-Motzkin refutation of the
-    comparisons assigned so far, and lazy disequality splits at the leaves.
+    """A solver's one live context: the compiled, propagated state of one
+    trie node, `node`, and a satisfiability search below it.  DPLL with
+    unit propagation runs over the clauses of the formula's negation normal
+    form, with Fourier-Motzkin refutation of the comparisons assigned so
+    far, and lazy disequality splits at the leaves.
 
-    A query starts from the compiled, propagated state of a prefix and
-    pushes the conjuncts the trie does not hold yet.  Atoms are decided in
-    order of first occurrence, true first, and a leaf is a prefix of that
-    order under which the formula is true, so the first model found does
-    not depend on what propagation or the theory checks prune.
+    `goto` moves the state to another node by popping back to the common
+    ancestor and replaying the stored deltas down, so a query costs the
+    distance from the previous one.  `push` compiles a conjunct onto the
+    current node.  Atoms are decided in order of first occurrence, true
+    first, and a leaf is a prefix of that order under which the formula is
+    true, so the first model found does not depend on what propagation or
+    the theory checks prune.
     """
 
-    def __init__(self, node: _Prefix, known: dict[Formula, _Atom]) -> None:
-        self.known = known
-        chain = []
-        n: Optional[_Prefix] = node
-        while n is not None:
-            chain.append(n)
-            n = n.parent
+    def __init__(self, root: _Prefix) -> None:
+        self.node = root
+        self.known: dict[Formula, _Atom] = {}
         self.atoms: list[_Atom] = []
+        self.index: dict[_Atom, int] = {}
         # the formula's conjuncts, each as the parts of a disjunction
         self.clauses: list[tuple] = []
-        mentions: list[tuple[int, ...]] = []
-        assigned: list[int] = []
-        self.sat_trail: list[int] = []
-        for n in reversed(chain):
-            self.atoms += n.atoms
-            self.clauses += n.clauses
-            mentions += n.mentions
-            assigned += n.assigned
-            self.sat_trail += n.satisfied
-        self.occ: list[list[int]] = [[] for _ in self.atoms]
-        for c, mentioned in enumerate(mentions):
-            for i in mentioned:
-                self.occ[i].append(c)
-        self.val: list[Optional[bool]] = [None] * len(self.atoms)
+        self.seen: set[tuple] = set()
+        self.mentions: list[tuple[int, ...]] = []
+        self.occ: list[list[int]] = []
+        self.val: list[Optional[bool]] = []
         self.trail: list[int] = []
-        for lit in assigned:
+        self.sat: list[bool] = []
+        self.sat_trail: list[int] = []
+
+    def goto(self, node: _Prefix) -> None:
+        """Make the state `node`'s."""
+        a, b, down = self.node, node, []
+        while b.depth > a.depth:
+            down.append(b)
+            b = b.parent  # type: ignore[assignment]
+        while a.depth > b.depth:
+            a = a.parent  # type: ignore[assignment]
+        while a is not b:
+            down.append(b)
+            a, b = a.parent, b.parent  # type: ignore[assignment]
+        self._pop(*a.size)
+        for n in reversed(down):
+            self._replay(n)
+        self.node = node
+
+    def _pop(self, na: int, nc: int, nt: int, ns: int) -> None:
+        """Truncate the state to the given sizes, those of an ancestor."""
+        self._undo(nt, ns)
+        for c in range(nc, len(self.clauses)):
+            self.seen.remove(self.clauses[c])
+            for i in self.mentions[c]:
+                if i < na:
+                    self.occ[i].pop()  # clause c is the last that mentions i
+        del self.clauses[nc:], self.mentions[nc:], self.sat[nc:]
+        for atom in self.atoms[na:]:
+            del self.index[atom]
+        del self.atoms[na:], self.occ[na:], self.val[na:]
+
+    def _undo(self, nt: int, ns: int) -> None:
+        """Unassign the trail past `nt` and unmark the clauses satisfied past `ns`."""
+        for i in self.trail[nt:]:
+            self.val[i] = None
+        del self.trail[nt:]
+        for c in self.sat_trail[ns:]:
+            self.sat[c] = False
+        del self.sat_trail[ns:]
+
+    def _replay(self, n: _Prefix) -> None:
+        """Apply child `n`'s stored delta to the state of its parent."""
+        na, nc = len(self.atoms), len(self.clauses)
+        self.index.update(zip(n.atoms, range(na, na + len(n.atoms))))
+        self.atoms += n.atoms
+        self.val += [None] * len(n.atoms)
+        self.occ += [[] for _ in n.atoms]
+        self.clauses += n.clauses
+        self.seen.update(n.clauses)
+        self.sat += [False] * len(n.clauses)
+        self._mention(nc, n.mentions)
+        for lit in n.assigned:
             i = lit if lit >= 0 else ~lit
             self.val[i] = lit >= 0
             self.trail.append(i)
-        self.sat = [False] * len(self.clauses)
-        for c in self.sat_trail:
+        for c in n.satisfied:
             self.sat[c] = True
-        # what `push` needs to compile, made on its first call
-        self.index: Optional[dict[_Atom, int]] = None
-        self.seen: set[tuple] = set()
+        self.sat_trail += n.satisfied
 
-    def push(self, parent: _Prefix, conjunct: Formula) -> _Prefix:
-        """Compile `conjunct` onto this query's prefix `parent`, propagate,
-        and record the delta as `parent`'s child."""
-        if self.index is None:
-            self.index = {a: i for i, a in enumerate(self.atoms)}
-            self.seen = set(self.clauses)
+    def _mention(self, nc: int, mentions: Iterable[tuple[int, ...]]) -> None:
+        """Record the atoms that clauses nc onward mention."""
+        for c, mentioned in enumerate(mentions, nc):
+            self.mentions.append(mentioned)
+            for i in mentioned:
+                self.occ[i].append(c)
+
+    def push(self, conjunct: Formula) -> _Prefix:
+        """Compile `conjunct` onto the current node, propagate, and record
+        the delta as the node's child, which becomes the current node
+        unless propagation refutes it."""
+        parent = self.node
         node = parent.children[conjunct] = _Prefix(parent)
-        na, nc, nt, ns = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
+        na, nc, nt, ns = parent.size
         # a clause is its NNF part's disjuncts, which tell parts apart, so
         # this is the deduplication of the whole formula's NNF
         for p in _parts(self._nnf(conjunct, True), False):
@@ -446,10 +499,10 @@ class _Query:
             mentioned: set[int] = set()
             for p in self.clauses[c]:
                 _mentioned(p, mentioned)
-            for i in mentioned:
-                self.occ[i].append(c)
             mentions.append(tuple(mentioned))
+        self._mention(nc, mentions)
         if not all(self.sat[c] or self._settle(c) for c in range(nc, len(self.clauses))) or not self._propagate(nt):
+            self._pop(*parent.size)
             node.refuted = True
             node.result = SatResult("unsat")
             return node
@@ -458,13 +511,14 @@ class _Query:
         node.mentions = tuple(mentions)
         node.assigned = tuple(i if self.val[i] else ~i for i in self.trail[nt:])
         node.satisfied = tuple(self.sat_trail[ns:])
+        node.size = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
+        self.node = node
         return node
 
     def _atom(self, a: Formula) -> int:
         atom = self.known.get(a)
         if atom is None:
             atom = self.known[a] = _Atom(a)
-        assert self.index is not None
         i = self.index.get(atom)
         if i is None:
             i = self.index[atom] = len(self.atoms)
@@ -503,12 +557,15 @@ class _Query:
     # -- search -------------------------------------------------------------
 
     def run(self) -> SatResult:
-        """Search below the prefix's propagated state, on a fresh budget."""
+        """Search below the current node's propagated state, on a fresh
+        budget, and restore that state."""
         self.steps = _Steps()
         try:
             status, model = self._search(0, 0)
         except _OutOfSteps:
             return SatResult("unknown", diagnostic=f"step budget of {_STEP_BUDGET} exhausted")
+        finally:
+            self._undo(*self.node.size[2:])
         if status == "unknown":
             return SatResult("unknown", diagnostic="incomplete arithmetic search")
         return SatResult(status, model)
@@ -568,12 +625,7 @@ class _Query:
                 if status == "sat":
                     return status, model
                 unknown = unknown or status == "unknown"
-            for i in self.trail[trail_mark:]:
-                val[i] = None
-            del self.trail[trail_mark:]
-            for c in self.sat_trail[sat_mark:]:
-                self.sat[c] = False
-            del self.sat_trail[sat_mark:]
+            self._undo(trail_mark, sat_mark)
         return ("unknown" if unknown else "unsat"), None
 
     def _theory(self, i: int) -> Optional[_Theory]:
@@ -691,28 +743,34 @@ class BuiltinSolver(Solver):
     A solver keeps its queries in a trie keyed by their top-level
     conjuncts, so a query compiles only the conjuncts past the longest
     prefix an earlier query compiled, and a repeated query is answered
-    from its node.  Its atoms, with their theories, are shared by all its
+    from its node.  One live context moves between the trie's nodes, and
+    its atoms, with their theories, are shared by all the solver's
     queries.  Trie and atoms live as long as the solver."""
 
     def __init__(self) -> None:
-        self._atoms: dict[Formula, _Atom] = {}
         self._root = _Prefix(None)
+        self._query = _Query(self._root)
 
     def satisfiable(self, f: Formula) -> SatResult:
+        node = self._node(f)
+        if node.result is None:
+            self._query.goto(node)
+            node.result = self._query.run()
+        return node.result
+
+    def _node(self, f: Formula) -> _Prefix:
+        """The trie node of `f`'s conjuncts, pushing those it lacks, or the
+        first refuted node on the way."""
         node = self._root
-        query: Optional[_Query] = None
         for c in f.args if isinstance(f, And) else (f,):
             if node.refuted:
                 break
             child = node.children.get(c)
             if child is None:
-                if query is None:
-                    query = _Query(node, self._atoms)
-                child = query.push(node, c)
+                self._query.goto(node)
+                child = self._query.push(c)
             node = child
-        if node.result is None:
-            node.result = (query or _Query(node, self._atoms)).run()
-        return node.result
+        return node
 
 
 # ---------------------------------------------------------------------------
