@@ -90,6 +90,10 @@ class Solver:
     def satisfiable(self, f: Formula) -> SatResult:
         raise NotImplementedError
 
+    def feasible(self, f: Formula) -> bool:
+        """Whether `f` may be satisfiable: False only for a definite unsat."""
+        return self.satisfiable(f).status != "unsat"
+
     def entails(self, p: Formula, q: Formula) -> EntailResult:
         r = self.satisfiable(conj(p, neg(q)))
         if r.status == "unsat":
@@ -351,6 +355,26 @@ class _Atom:
             self.ints = {(v.name, v.primed): v for v in atom_vars(formula)}
             self.theories = [None, None]
 
+    def theory(self, value: bool) -> _Theory:
+        """What the comparison's literal of polarity `value` asks of the integers."""
+        th = self.theories[value]  # type: ignore[index]
+        if th is None:
+            th = self.theories[value] = _theory_of(self.formula, value)  # type: ignore[index, arg-type]
+        return th
+
+    def holds(self, witness: dict) -> bool:
+        """The atom's value under a total assignment: integers by key and
+        booleans by variable, an absent one 0 or false."""
+        if self.theories is None:
+            return witness.get(self.formula.var, False)  # type: ignore[attr-defined]
+        lins, diseq = self.theory(True)
+        return all(_dot(coeffs, witness) <= bound for coeffs, bound in lins) and (
+            diseq is None or _dot(diseq[0], witness) != diseq[1])
+
+
+def _dot(coeffs: Coeffs, values: dict) -> int:
+    return sum(c * values.get(v, 0) for v, c in coeffs)
+
 
 class _Prefix:
     """A node of a solver's trie of queries, which is keyed by top-level
@@ -361,12 +385,14 @@ class _Prefix:
     and satisfied; `size` is the length of the atoms, clauses, trail and
     satisfied clauses from the root to here.  `result` is the answer to a
     query that ends here, and a refuted prefix, one that propagation found
-    contradictory, answers unsat to every query through it.  Children are
-    keyed by their conjunct, which is interned, so a lookup hashes its
+    contradictory, answers unsat to every query through it.  `witness`, if
+    any, is a total assignment that satisfies the prefix (see
+    `_Query.satisfies`); the root's is empty, all zero and false.  Children
+    are keyed by their conjunct, which is interned, so a lookup hashes its
     identity."""
 
-    __slots__ = ("parent", "children", "depth", "size", "result", "refuted", "atoms", "clauses", "mentions",
-                 "assigned", "satisfied")
+    __slots__ = ("parent", "children", "depth", "size", "result", "witness", "refuted", "atoms", "clauses",
+                 "mentions", "assigned", "satisfied")
 
     def __init__(self, parent: Optional[_Prefix]) -> None:
         self.parent = parent
@@ -374,6 +400,7 @@ class _Prefix:
         self.depth = 0 if parent is None else parent.depth + 1
         self.size = (0, 0, 0, 0)
         self.result: Optional[SatResult] = None
+        self.witness: Optional[dict] = None if parent else {}
         self.refuted = False
         self.atoms: tuple[_Atom, ...] = ()
         self.clauses: tuple[tuple, ...] = ()
@@ -515,6 +542,18 @@ class _Query:
         self.node = node
         return node
 
+    def satisfies(self, witness: dict, nc: int) -> bool:
+        """Whether `witness`, a total assignment as `_Atom.holds` reads it,
+        satisfies clauses nc onward."""
+        val: list[Optional[bool]] = [None] * len(self.atoms)
+        for c in range(nc, len(self.clauses)):
+            for i in self.mentions[c]:
+                if val[i] is None:
+                    val[i] = self.atoms[i].holds(witness)
+            if not any(_kleene(p, val) for p in self.clauses[c]):
+                return False
+        return True
+
     def _atom(self, a: Formula) -> int:
         atom = self.known.get(a)
         if atom is None:
@@ -632,14 +671,7 @@ class _Query:
         """What the assigned literal of atom i asks of the integers; None
         for a boolean variable."""
         atom = self.atoms[i]
-        if atom.theories is None:
-            return None
-        value = self.val[i]
-        assert value is not None
-        th = atom.theories[value]
-        if th is None:
-            th = atom.theories[value] = _theory_of(atom.formula, value)  # type: ignore[arg-type]
-        return th
+        return None if atom.theories is None else atom.theory(self.val[i])  # type: ignore[arg-type]
 
     def _constraints(self, assigned: Iterable[int]) -> tuple[Cons, list[_Diseq]]:
         """What the literals of the `assigned` atoms ask of the integers."""
@@ -667,16 +699,17 @@ class _Query:
         """The theory check of a leaf, whose assigned atoms are a prefix,
         and its model of every variable of the query: a boolean past the
         prefix is false, and an integer no assigned comparison constrains
-        is 0."""
+        is 0.  The model is kept as `witness` too, with integers by key."""
         status, intmodel = self._split(*self._constraints(range(len(self.trail))))
         if status != "sat":
             return status, None
         assert intmodel is not None
         model: Model = {}
         ints: dict[_Key, Var] = {}
+        self.witness: dict = dict(intmodel)
         for i, atom in enumerate(self.atoms):
             if atom.theories is None:
-                model[atom.formula.var] = self.val[i] is True  # type: ignore[attr-defined]
+                model[atom.formula.var] = self.witness[atom.formula.var] = self.val[i] is True  # type: ignore[attr-defined]
             else:
                 ints.update(atom.ints)
         model.update((ints[k], intmodel.get(k, 0)) for k in sorted(ints))
@@ -689,7 +722,7 @@ class _Query:
         status, model = _search_linear(cons, self.steps)
         if status == "sat":
             assert model is not None
-            d = next((d for d in diseqs if sum(c * model.get(v, 0) for v, c in d[0]) == d[1]), None)
+            d = next((d for d in diseqs if _dot(d[0], model) == d[1]), None)
             if d is None:
                 return status, model
         elif status == "unsat" or not diseqs:
@@ -754,9 +787,31 @@ class BuiltinSolver(Solver):
     def satisfiable(self, f: Formula) -> SatResult:
         node = self._node(f)
         if node.result is None:
+            self._answer(node)
+        return node.result  # type: ignore[return-value]
+
+    def feasible(self, f: Formula) -> bool:
+        """As `satisfiable(f).status != "unsat"`, but first try the witness
+        of the deepest prefix that has one: if it satisfies the clauses
+        added since, `f` is satisfiable without a search.  Otherwise the
+        search answers, and its model becomes the node's witness."""
+        node = self._node(f)
+        if node.result is None and node.witness is None:
+            w = node.parent
+            while w.witness is None:  # type: ignore[union-attr]
+                w = w.parent
             self._query.goto(node)
-            node.result = self._query.run()
-        return node.result
+            if self._query.satisfies(w.witness, w.size[1]):  # type: ignore[union-attr, arg-type]
+                node.witness = w.witness  # type: ignore[union-attr]
+            else:
+                self._answer(node)
+        return node.result is None or node.result.status != "unsat"
+
+    def _answer(self, node: _Prefix) -> None:
+        self._query.goto(node)
+        node.result = self._query.run()
+        if node.result.status == "sat":
+            node.witness = self._query.witness
 
     def _node(self, f: Formula) -> _Prefix:
         """The trie node of `f`'s conjuncts, pushing those it lacks, or the

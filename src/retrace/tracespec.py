@@ -155,7 +155,7 @@ def inclusion_obligations(
             entailed = [
                 o.regex
                 for o in right.options
-                if solver.entails(ctx, o.guard).status == "valid"
+                if not solver.feasible(conj(ctx, neg(o.guard)))
             ]
             lhs = rx.concat(lopt.regex, emitted)
             rhs = rx.choice(*entailed)

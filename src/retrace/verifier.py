@@ -256,7 +256,7 @@ class Verifier:
 
     def feasible(self, f: Formula) -> bool:
         # only a definite unsat prunes; unknown keeps the branch
-        return self.solver.satisfiable(f).status != "unsat"
+        return self.solver.feasible(f)
 
     # -- obligations --------------------------------------------------------
 

@@ -30,7 +30,7 @@ from retrace.formula import (
     tconst,
     tvar,
 )
-from retrace.solver import BuiltinSolver, SmtLibSolver, make_solver, to_smtlib
+from retrace.solver import BuiltinSolver, SmtLibSolver, Solver, make_solver, to_smtlib
 from retrace.verifier import Verifier
 from helpers import ReferenceSolver, random_formula, with_domain_bounds, brute_force_sat
 
@@ -317,6 +317,66 @@ def test_one_solver_answers_a_stream_as_fresh_solvers_do(budget, stream):
             assert got[0] in (want_full[0], "unknown")
 
 
+@pytest.mark.parametrize("budget", [solver_module._STEP_BUDGET, 12])
+@given(_prefix_streams())
+@settings(max_examples=60, deadline=None)
+def test_feasible_is_a_fresh_solvers_not_unsat(budget, stream):
+    """On one solver, `feasible` interleaved with `satisfiable` says what a
+    fresh solver's `satisfiable(f).status != "unsat"` says, and trying a
+    witness first changes no answer or model of `satisfiable`."""
+    path, queries = stream
+    with patch.object(solver_module, "_STEP_BUDGET", budget):
+        shared = BuiltinSolver()
+        for n, (kind, k, extra) in enumerate(queries):
+            f = conj(*path[:k], extra if kind == "sat" else neg(extra))
+            want = BuiltinSolver().satisfiable(f)
+            if kind == "sat" or n % 2:
+                assert _answer(shared.satisfiable(f)) == _answer(want)
+            if kind == "entails" or n % 2:
+                assert shared.feasible(f) == (want.status != "unsat")
+
+
+def _live_state(q):
+    return q.atoms, q.index, q.clauses, q.seen, q.mentions, q.occ, q.val, q.trail, q.sat, q.sat_trail
+
+
+def test_live_context_answers_as_fresh_solvers_wherever_it_moves():
+    """One solver's context goes down a deep path, to a sibling, back to the
+    root, through a refuted push and past a search that runs out of steps.
+    Each answer is a fresh solver's, and the context always holds what
+    replaying its node's deltas from the root gives."""
+    x, y, z = tvar("x"), tvar("y"), tvar("z")
+    p, q = boolref("p"), boolref("q")
+    deep = [cmp("<=", tconst(0), x), disj(p, q), cmp("<", x, y), implies(p, cmp("==", y, z)),
+            cmp("!=", z, tconst(3)), cmp("<=", y, tconst(9))]
+    full = solver_module._STEP_BUDGET
+    script = [
+        ("satisfiable", full, conj(*deep), "sat"),  # down a deep path
+        ("satisfiable", full, conj(*deep[:5], cmp("<", tconst(9), y)), "sat"),  # to a sibling
+        ("feasible", full, conj(*deep[:5], cmp("<", y, x)), False),
+        ("feasible", full, conj(*deep[:2], neg(p), cmp("<", y, tconst(-1))), True),  # higher up
+        ("satisfiable", full, cmp("<", y, x), "sat"),  # back to the root
+        ("satisfiable", full, conj(deep[0], p, neg(p), deep[2]), "unsat"),  # a refuted push
+        ("feasible", full, conj(deep[0], p, cmp("<", x, y)), True),  # its sibling
+        ("satisfiable", 1, conj(*deep[:4], cmp("<", z, x)), "unknown"),  # out of steps
+        ("feasible", full, conj(*deep[:4], cmp("<", z, x), q), True),  # below that search
+        ("satisfiable", 1, conj(*deep[:4], cmp("<", z, x)), "unknown"),  # answered before
+        ("satisfiable", full, conj(*deep), "sat"),  # the first query again
+    ]
+    shared = BuiltinSolver()
+    for method, budget, f, expected in script:
+        with patch.object(solver_module, "_STEP_BUDGET", budget):
+            want = BuiltinSolver().satisfiable(f)
+            got = getattr(shared, method)(f)
+        if method == "satisfiable":
+            assert _answer(got) == _answer(want) and got.status == expected
+        else:
+            assert got == (want.status != "unsat") == expected
+        replayed = solver_module._Query(shared._root)
+        replayed.goto(shared._query.node)
+        assert _live_state(shared._query) == _live_state(replayed)
+
+
 def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart():
     a, b_int, x, y = tvar("a"), tvar("b"), tvar("x"), tvar("y")
     b_small = cmp("<=", b_int, tconst(0))
@@ -337,6 +397,11 @@ SOLVER_GOLDEN = Path(__file__).parent / "golden" / "solver_answers.jsonl"
 
 
 class _Recording(BuiltinSolver):
+    """Records every answer.  `feasible` is the base class's, which asks
+    `satisfiable`, so every query is recorded in first-asked order."""
+
+    feasible = Solver.feasible
+
     def __init__(self, answers):
         super().__init__()
         self.answers = answers
