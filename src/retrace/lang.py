@@ -358,7 +358,7 @@ class _Parser:
         """The keyword of an annotation `_(kw ...` with `kw` in `keywords`,
         consumed with its `_(`, or None."""
         toks, pos = self.toks, self.pos
-        kw = _word(toks[pos + 1]) if toks[pos][1] == "_(" else None
+        kw = toks[pos + 1][1] if toks[pos][1] == "_(" else None
         if kw not in keywords:
             return None
         self.pos = pos + 2
@@ -506,7 +506,7 @@ class _Parser:
     def parse_emit(self) -> Emit:
         toks, pos = self.toks, self.pos
         kw = toks[pos + 1]
-        if _word(kw) != "emit":
+        if kw[1] != "emit":
             raise self.error(f"unexpected annotation {_word(kw)!r} in statement position", kw)
         self.pos = pos + 2
         ev = self.event()

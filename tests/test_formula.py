@@ -1,10 +1,13 @@
+import copy
+import pickle
+import random
 from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_eval_term, reference_evaluate
+from helpers import random_formula, random_term, reference_eval_term, reference_evaluate
 from retrace.formula import (
     FALSE,
     TRUE,
@@ -256,3 +259,55 @@ def test_term_arithmetic():
 def test_render_roundtrip_shapes():
     f = implies(conj(b, neg(bp)), disj(cmp("<=", tvar("x"), tconst(0)), b))
     assert render_formula(f) == "b && !b' ==> x <= 0 || b"
+
+
+# -- interning ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_formula_built_twice_is_one_object(seed):
+    f = random_formula(random.Random(seed), ["x", "y", "z"])
+    assert random_formula(random.Random(seed), ["x", "y", "z"]) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_equal_nodes_are_one_object_however_built():
+    x, y = tvar("x"), tvar("y")
+    assert x + y is y + x
+    assert term_sum([x, x, y - x]) is y + x
+    assert Cmp("<", x, tconst(1)) is cmp("<", tvar("x"), tconst(1))
+    assert And((b, bp)) is conj(b, bp)
+    assert Not(b) is neg(b)
+    assert BoolLit(True) is TRUE
+    for node in (x, cmp("<", x, y), b, conj(b, bp), TRUE):
+        assert type(node).__eq__ is object.__eq__ and type(node).__hash__ is object.__hash__
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_substitute_of_equal_inputs_is_one_object(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, ["x", "y"])
+    repl = random_term(rng, ["y", "z"])
+    pre = {"x": repl}
+    assert substitute(f, pre) is substitute(f, {"x": term_sum([repl])})
+    assert substitute(f, {}) is f
+
+
+@pytest.mark.parametrize("f,text", [
+    (conj(b, disj(bp, neg(b))), "b && (b' || !b)"),
+    (neg(conj(b, bp)), "!(b && b')"),
+    (implies(implies(b, bp), b), "(b ==> b') ==> b"),
+    (cmp("==", tvar("x").scaled(-2) + tconst(5), tvar("y", True)), "-2 * x + 5 == y'"),
+    (disj(conj(b, bp), cmp("!=", tvar("x"), tconst(-3))), "b && b' || x != -3"),
+    (neg(cmp("<", tvar("x"), tvar("y"))), "!(x < y)"),
+    (conj(implies(b, bp), neg(neg(bp))), "(b ==> b') && b'"),
+])
+def test_render_is_unchanged_by_interning(f, text):
+    assert render_formula(f) == str(f) == repr(f) == text
+
+
+def test_variables_sort_by_name_then_prime():
+    assert sorted([Var("y"), Var("x", True), Var("b"), Var("x")]) == [Var("b"), Var("x"), Var("x", True), Var("y")]
+    t = tvar("y") + tvar("x", True) + tvar("x")
+    assert [str(v) for v, _ in t.coeffs] == ["x", "x'", "y"]

@@ -347,6 +347,24 @@ def test_parse_error_golden(src, cls, msg):
     assert (type(exc.value), str(exc.value)) == (cls, msg)
 
 
+# a primed keyword after `_(` is a name, as it is everywhere else, so it
+# starts no annotation
+PRIMED_KEYWORD_ERRORS = [
+    ("events a;\nproc main() { _(emit' a) }", "2:17: unexpected annotation 'emit' in statement position"),
+    ("events a;\nint x;\nproc main() _(requires' x == 0) { }", "3:13: expected '{', found '_('"),
+    ("events a;\nproc main() _(trace' a) { }", "2:13: expected '{', found '_('"),
+    ("events a;\nproc main() { while (true) _(invariant' true) { } }",
+     "2:30: unexpected annotation 'invariant' in statement position"),
+]
+
+
+@pytest.mark.parametrize("src,msg", PRIMED_KEYWORD_ERRORS)
+def test_primed_keyword_starts_no_annotation(src, msg):
+    with pytest.raises(SourceError) as exc:
+        parse(src)
+    assert (type(exc.value), str(exc.value)) == (ParseError, msg)
+
+
 def test_non_decimal_digit_is_a_positioned_error():
     with pytest.raises(ParseError) as exc:
         parse("events a;\nint x = ²;")
