@@ -3,11 +3,8 @@
 Atoms are boolean variables and comparisons between linear integer terms.
 Variables carry a prime level (0 or 1) so that formulas can describe
 transition relations between a pre- and a post-state.
-
-Terms and formula nodes are interned, as in Filliâtre & Conchon's
-hash-consing: constructing a node whose fields equal an earlier node's
-returns the earlier node, so equality and hashing are by identity and
-O(1).  Variables are plain values that compare and sort by name and prime.
+Terms and formula nodes are interned (Filliâtre & Conchon's hash-consing),
+so equal nodes are one object and compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -36,21 +33,16 @@ class Var:
         return self.name + "'" if self.primed else self.name
 
 
-# keys: the node's class and fields; a field that is a node is itself
-# interned, so it hashes and compares by identity
 _interned: dict[tuple, Any] = {}
 
 
 class _Interned(type):
-    """Metaclass of the interned nodes: a call whose class and positional
-    fields equal an earlier call's returns the earlier node."""
+    """Metaclass of the interned nodes, kept in one table keyed by class and
+    positional fields: a call with an earlier call's fields returns its node."""
 
     def __call__(cls, *fields: Any) -> Any:
         key = (cls, *fields)
-        node = _interned.get(key)
-        if node is None:
-            node = _interned[key] = super().__call__(*fields)
-        return node
+        return _interned.get(key) or _interned.setdefault(key, super().__call__(*fields))
 
 
 class _Node(metaclass=_Interned):

@@ -25,11 +25,10 @@ the solver keeps a trie of its queries keyed by their top-level
 conjuncts.  Each node holds its prefix compiled and unit-propagated, as a
 delta over its parent; a query compiles only the conjuncts past the
 longest prefix the trie holds and then searches, on a fresh budget, from
-that prefix's propagated state.  One live context holds the state of one
-node; moving it to the next query's node pops back to their common
-ancestor and replays the deltas down, so a query costs its distance from
-the previous one.  A query that ends at a node answered before gets that
-answer.  Atoms, and the linear constraints of their
+that prefix's propagated state, which one live context moves to by popping
+back to the common ancestor and replaying the deltas down.  A query that
+ends at a node answered before gets that answer.  Atoms, and the linear
+constraints of their
 literals, are made once per solver.  Every answer and model is the one
 that compiling the whole formula afresh gives: the atoms keep their order
 of first occurrence, the clauses their deduplication, and propagation
@@ -331,13 +330,14 @@ def _parts(t: object, decisive: bool) -> tuple:
     return () if t is (not decisive) else (t,)
 
 
-def _mentioned(t: object, out: set[int]) -> None:
-    """Add the atoms of NNF node `t` to `out`."""
-    if type(t) is int:
-        out.add(t if t >= 0 else ~t)
-    else:
-        for a in t[1]:  # type: ignore[index]
-            _mentioned(a, out)
+def _mentioned(parts: tuple, out: set[int]) -> set[int]:
+    """`out` with the atoms of NNF nodes `parts` added."""
+    for t in parts:
+        if type(t) is int:
+            out.add(t if t >= 0 else ~t)
+        else:
+            _mentioned(t[1], out)  # type: ignore[index]
+    return out
 
 
 class _Atom:
@@ -363,8 +363,7 @@ class _Atom:
         return th
 
     def holds(self, witness: dict) -> bool:
-        """The atom's value under a total assignment: integers by key and
-        booleans by variable, an absent one 0 or false."""
+        """The atom's value under `witness` (see `_Query.satisfies`)."""
         if self.theories is None:
             return witness.get(self.formula.var, False)  # type: ignore[attr-defined]
         lins, diseq = self.theory(True)
@@ -380,19 +379,15 @@ class _Prefix:
     """A node of a solver's trie of queries, which is keyed by top-level
     conjuncts: the conjunction of the conjuncts on the way from the root,
     compiled and unit-propagated.  It is stored as a delta over its parent:
-    the atoms and clauses its conjunct adds, the atoms each new clause
-    mentions, and the literals and clauses that propagation then assigned
-    and satisfied; `size` is the length of the atoms, clauses, trail and
-    satisfied clauses from the root to here.  `result` is the answer to a
-    query that ends here, and a refuted prefix, one that propagation found
-    contradictory, answers unsat to every query through it.  `witness`, if
-    any, is a total assignment that satisfies the prefix (see
-    `_Query.satisfies`); the root's is empty, all zero and false.  Children
-    are keyed by their conjunct, which is interned, so a lookup hashes its
-    identity."""
+    the atoms and clauses its conjunct adds and the atoms each new clause
+    mentions; `size` counts the atoms, clauses, trail and satisfied clauses
+    from the root.  `result` is the answer to a query that ends here, and a
+    refuted prefix, one that propagation found contradictory, answers unsat
+    to every query through it.  `witness`, if any, satisfies the prefix; the
+    root's is empty.  Children are keyed by their interned conjunct."""
 
     __slots__ = ("parent", "children", "depth", "size", "result", "witness", "refuted", "atoms", "clauses",
-                 "mentions", "assigned", "satisfied")
+                 "mentions")
 
     def __init__(self, parent: Optional[_Prefix]) -> None:
         self.parent = parent
@@ -405,21 +400,15 @@ class _Prefix:
         self.atoms: tuple[_Atom, ...] = ()
         self.clauses: tuple[tuple, ...] = ()
         self.mentions: tuple[tuple[int, ...], ...] = ()
-        self.assigned: tuple[int, ...] = ()  # literals `i` or `~i`, in trail order
-        self.satisfied: tuple[int, ...] = ()
 
 
 class _Query:
-    """A solver's one live context: the compiled, propagated state of one
-    trie node, `node`, and a satisfiability search below it.  DPLL with
-    unit propagation runs over the clauses of the formula's negation normal
-    form, with Fourier-Motzkin refutation of the comparisons assigned so
-    far, and lazy disequality splits at the leaves.
-
-    `goto` moves the state to another node by popping back to the common
-    ancestor and replaying the stored deltas down, so a query costs the
-    distance from the previous one.  `push` compiles a conjunct onto the
-    current node.  Atoms are decided in order of first occurrence, true
+    """A solver's one live context, the compiled and propagated state of trie
+    node `node`, and a search below it: DPLL with unit propagation over the
+    clauses of the formula's negation normal form, Fourier-Motzkin
+    refutation of the comparisons assigned so far, and lazy disequality
+    splits at the leaves.  `goto` and `push` move it at the cost of the
+    distance moved.  Atoms are decided in order of first occurrence, true
     first, and a leaf is a prefix of that order under which the formula is
     true, so the first model found does not depend on what propagation or
     the theory checks prune.
@@ -443,17 +432,19 @@ class _Query:
     def goto(self, node: _Prefix) -> None:
         """Make the state `node`'s."""
         a, b, down = self.node, node, []
-        while b.depth > a.depth:
-            down.append(b)
-            b = b.parent  # type: ignore[assignment]
-        while a.depth > b.depth:
-            a = a.parent  # type: ignore[assignment]
         while a is not b:
-            down.append(b)
-            a, b = a.parent, b.parent  # type: ignore[assignment]
+            if b.depth >= a.depth:
+                down.append(b)
+                b = b.parent  # type: ignore[assignment]
+            else:
+                a = a.parent  # type: ignore[assignment]
         self._pop(*a.size)
         for n in reversed(down):
-            self._replay(n)
+            self.index.update(zip(n.atoms, range(len(self.atoms), len(self.atoms) + len(n.atoms))))
+            self.atoms += n.atoms
+            self.clauses += n.clauses
+            self.seen.update(n.clauses)
+            self._enter(n)
         self.node = node
 
     def _pop(self, na: int, nc: int, nt: int, ns: int) -> None:
@@ -478,31 +469,18 @@ class _Query:
             self.sat[c] = False
         del self.sat_trail[ns:]
 
-    def _replay(self, n: _Prefix) -> None:
-        """Apply child `n`'s stored delta to the state of its parent."""
-        na, nc = len(self.atoms), len(self.clauses)
-        self.index.update(zip(n.atoms, range(na, na + len(n.atoms))))
-        self.atoms += n.atoms
-        self.val += [None] * len(n.atoms)
-        self.occ += [[] for _ in n.atoms]
-        self.clauses += n.clauses
-        self.seen.update(n.clauses)
-        self.sat += [False] * len(n.clauses)
-        self._mention(nc, n.mentions)
-        for lit in n.assigned:
-            i = lit if lit >= 0 else ~lit
-            self.val[i] = lit >= 0
-            self.trail.append(i)
-        for c in n.satisfied:
-            self.sat[c] = True
-        self.sat_trail += n.satisfied
-
-    def _mention(self, nc: int, mentions: Iterable[tuple[int, ...]]) -> None:
-        """Record the atoms that clauses nc onward mention."""
-        for c, mentioned in enumerate(mentions, nc):
+    def _enter(self, n: _Prefix) -> bool:
+        """Extend the state of `n`'s parent, with `n`'s atoms and clauses
+        appended, to `n`'s; False when propagation meets a conflict."""
+        na, nc, nt, _ = n.parent.size  # type: ignore[union-attr]
+        self.val += [None] * (len(self.atoms) - na)
+        self.occ += [[] for _ in range(len(self.atoms) - na)]
+        self.sat += [False] * (len(self.clauses) - nc)
+        for c, mentioned in enumerate(n.mentions, nc):
             self.mentions.append(mentioned)
             for i in mentioned:
                 self.occ[i].append(c)
+        return all(self._settle(c) for c in range(nc, len(self.clauses))) and self._propagate(nt)
 
     def push(self, conjunct: Formula) -> _Prefix:
         """Compile `conjunct` onto the current node, propagate, and record
@@ -510,7 +488,7 @@ class _Query:
         unless propagation refutes it."""
         parent = self.node
         node = parent.children[conjunct] = _Prefix(parent)
-        na, nc, nt, ns = parent.size
+        na, nc, _, _ = parent.size
         # a clause is its NNF part's disjuncts, which tell parts apart, so
         # this is the deduplication of the whole formula's NNF
         for p in _parts(self._nnf(conjunct, True), False):
@@ -518,33 +496,21 @@ class _Query:
             if clause not in self.seen:
                 self.seen.add(clause)
                 self.clauses.append(clause)
-        self.val += [None] * (len(self.atoms) - na)
-        self.occ += [[] for _ in range(len(self.atoms) - na)]
-        self.sat += [False] * (len(self.clauses) - nc)
-        mentions = []
-        for c in range(nc, len(self.clauses)):
-            mentioned: set[int] = set()
-            for p in self.clauses[c]:
-                _mentioned(p, mentioned)
-            mentions.append(tuple(mentioned))
-        self._mention(nc, mentions)
-        if not all(self.sat[c] or self._settle(c) for c in range(nc, len(self.clauses))) or not self._propagate(nt):
+        node.atoms = tuple(self.atoms[na:])
+        node.clauses = tuple(self.clauses[nc:])
+        node.mentions = tuple(tuple(_mentioned(clause, set())) for clause in node.clauses)
+        if not self._enter(node):
             self._pop(*parent.size)
             node.refuted = True
             node.result = SatResult("unsat")
             return node
-        node.atoms = tuple(self.atoms[na:])
-        node.clauses = tuple(self.clauses[nc:])
-        node.mentions = tuple(mentions)
-        node.assigned = tuple(i if self.val[i] else ~i for i in self.trail[nt:])
-        node.satisfied = tuple(self.sat_trail[ns:])
         node.size = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
         self.node = node
         return node
 
     def satisfies(self, witness: dict, nc: int) -> bool:
-        """Whether `witness`, a total assignment as `_Atom.holds` reads it,
-        satisfies clauses nc onward."""
+        """Whether clauses nc onward hold under `witness`, a total assignment
+        of integers by key and booleans by variable, absent ones 0 or false."""
         val: list[Optional[bool]] = [None] * len(self.atoms)
         for c in range(nc, len(self.clauses)):
             for i in self.mentions[c]:
@@ -787,31 +753,26 @@ class BuiltinSolver(Solver):
     def satisfiable(self, f: Formula) -> SatResult:
         node = self._node(f)
         if node.result is None:
-            self._answer(node)
-        return node.result  # type: ignore[return-value]
+            self._query.goto(node)
+            node.result = self._query.run()
+            if node.result.status == "sat":
+                node.witness = self._query.witness
+        return node.result
 
     def feasible(self, f: Formula) -> bool:
-        """As `satisfiable(f).status != "unsat"`, but first try the witness
-        of the deepest prefix that has one: if it satisfies the clauses
-        added since, `f` is satisfiable without a search.  Otherwise the
-        search answers, and its model becomes the node's witness."""
+        """As `satisfiable(f).status != "unsat"`, but first check the witness
+        of the deepest prefix that has one against the clauses added since;
+        only if it fails does the search run."""
         node = self._node(f)
-        if node.result is None and node.witness is None:
-            w = node.parent
-            while w.witness is None:  # type: ignore[union-attr]
-                w = w.parent
+        if node.result is None:
+            w = node
+            while w.witness is None:
+                w = w.parent  # type: ignore[assignment]
             self._query.goto(node)
-            if self._query.satisfies(w.witness, w.size[1]):  # type: ignore[union-attr, arg-type]
-                node.witness = w.witness  # type: ignore[union-attr]
-            else:
-                self._answer(node)
-        return node.result is None or node.result.status != "unsat"
-
-    def _answer(self, node: _Prefix) -> None:
-        self._query.goto(node)
-        node.result = self._query.run()
-        if node.result.status == "sat":
-            node.witness = self._query.witness
+            if self._query.satisfies(w.witness, w.size[1]):
+                node.witness = w.witness
+                return True
+        return self.satisfiable(f).status != "unsat"
 
     def _node(self, f: Formula) -> _Prefix:
         """The trie node of `f`'s conjuncts, pushing those it lacks, or the
