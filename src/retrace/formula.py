@@ -3,6 +3,7 @@
 Atoms are boolean variables and comparisons between linear integer terms.
 Variables carry a prime level (0 or 1) so that formulas can describe
 transition relations between a pre- and a post-state.
+
 Terms and formula nodes are interned (Filliâtre & Conchon's hash-consing),
 so equal nodes are one object and compare and hash by identity.
 """
@@ -37,24 +38,20 @@ _interned: dict[tuple, Any] = {}
 
 
 class _Interned(type):
-    """Metaclass of the interned nodes, kept in one table keyed by class and
-    positional fields: a call with an earlier call's fields returns its node."""
+    """Metaclass of the interned nodes, kept for the life of the process in
+    one table keyed by class and positional fields: a call with an earlier
+    call's fields returns its node."""
 
     def __call__(cls, *fields: Any) -> Any:
         key = (cls, *fields)
-        return _interned.get(key) or _interned.setdefault(key, super().__call__(*fields))
-
-
-class _Node(metaclass=_Interned):
-    __slots__ = ()
-
-    def __reduce__(self) -> tuple:
-        # copies and unpickled nodes go through the table too
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)  # type: ignore[attr-defined]
+        node = _interned.get(key)
+        if node is None:
+            node = _interned[key] = super().__call__(*fields)
+        return node
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class Term(_Node):
+class Term(metaclass=_Interned):
     """Linear integer term: `const` plus a sum of coefficient * variable,
     with coefficients nonzero and variables sorted."""
 
@@ -124,7 +121,7 @@ def tconst(n: int) -> Term:
     return Term((), n)
 
 
-class Formula(_Node):
+class Formula(metaclass=_Interned):
     """Base class; all nodes are interned, slotted, frozen dataclasses."""
 
     __slots__ = ()
