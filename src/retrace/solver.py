@@ -438,7 +438,8 @@ class _Query:
                 b = b.parent  # type: ignore[assignment]
             else:
                 a = a.parent  # type: ignore[assignment]
-        self._pop(*a.size)
+        if a is not self.node:
+            self._pop(*a.size)
         for n in reversed(down):
             self.index.update(zip(n.atoms, range(len(self.atoms), len(self.atoms) + len(n.atoms))))
             self.atoms += n.atoms
