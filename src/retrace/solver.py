@@ -28,11 +28,12 @@ longest prefix the trie holds and then searches, on a fresh budget, from
 that prefix's propagated state, which one live context moves to by popping
 back to the common ancestor and replaying the deltas down.  A query that
 ends at a node answered before gets that answer.  Atoms, and the linear
-constraints of their
-literals, are made once per solver.  Every answer and model is the one
-that compiling the whole formula afresh gives: the atoms keep their order
-of first occurrence, the clauses their deduplication, and propagation
-reaches the same assignment whatever order it runs in.
+constraints of their literals, are made once per solver.  Every answer and
+model is the one that compiling the whole formula afresh gives: the atoms
+keep their order of first occurrence, the clauses their deduplication, and
+propagation reaches the same assignment whatever order it runs in.
+`feasible`, which only tells unsat apart, first checks a model kept from an
+earlier query against the clauses added since.
 
 The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 """
