@@ -429,6 +429,7 @@ class _Query:
         self.trail: list[int] = []
         self.sat: list[bool] = []
         self.sat_trail: list[int] = []
+        self.witness: dict = {}  # the last leaf's model, integers by key
 
     def goto(self, node: _Prefix) -> None:
         """Make the state `node`'s."""
@@ -667,14 +668,14 @@ class _Query:
         """The theory check of a leaf, whose assigned atoms are a prefix,
         and its model of every variable of the query: a boolean past the
         prefix is false, and an integer no assigned comparison constrains
-        is 0.  The model is kept as `witness` too, with integers by key."""
+        is 0.  The model is kept as `witness` too."""
         status, intmodel = self._split(*self._constraints(range(len(self.trail))))
         if status != "sat":
             return status, None
         assert intmodel is not None
         model: Model = {}
         ints: dict[_Key, Var] = {}
-        self.witness: dict = dict(intmodel)
+        self.witness = dict(intmodel)
         for i, atom in enumerate(self.atoms):
             if atom.theories is None:
                 model[atom.formula.var] = self.witness[atom.formula.var] = self.val[i] is True  # type: ignore[attr-defined]
