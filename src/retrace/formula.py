@@ -10,8 +10,10 @@ so equal nodes are one object and compare and hash by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
+
+from .record import Frozen, set_field
 
 Value = Union[bool, int]
 GroundState = Mapping[str, Value]
@@ -25,10 +27,33 @@ class UnboundVariable(FormulaError):
     """Raised when evaluation or substitution misses a required variable."""
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    name: str
-    primed: bool = False
+@total_ordering
+class Var(Frozen):
+    """A variable, equal to and ordered as its `(name, primed)`; it hashes
+    once, when built, because every interned term's key hashes it."""
+
+    __slots__ = ("name", "primed", "_hash")
+
+    def __init__(self, name: str, primed: bool = False) -> None:
+        set_field(self, "name", name)
+        set_field(self, "primed", primed)
+        set_field(self, "_hash", hash((name, primed)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name and self.primed == other.primed
+
+    def __lt__(self, other: Var) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return (self.name, self.primed) < (other.name, other.primed)
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r}, primed={self.primed!r})"
 
     def __str__(self) -> str:
         return self.name + "'" if self.primed else self.name
@@ -50,13 +75,17 @@ class _Interned(type):
         return node
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Term(metaclass=_Interned):
+class Term(Frozen, metaclass=_Interned):
     """Linear integer term: `const` plus a sum of coefficient * variable,
     with coefficients nonzero and variables sorted."""
 
-    coeffs: tuple[tuple[Var, int], ...]
-    const: int
+    __slots__ = ("coeffs", "const")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, coeffs: tuple[tuple[Var, int], ...], const: int) -> None:
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "const", const)
 
     def __add__(self, other: "Term") -> "Term":
         return term_sum((self, other))
@@ -121,10 +150,13 @@ def tconst(n: int) -> Term:
     return Term((), n)
 
 
-class Formula(metaclass=_Interned):
-    """Base class; all nodes are interned, slotted, frozen dataclasses."""
+class Formula(Frozen, metaclass=_Interned):
+    """Base class; all nodes are interned, so they compare and hash by
+    identity."""
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __and__(self, other: "Formula") -> "Formula":
         return conj(self, other)
@@ -142,46 +174,58 @@ class Formula(metaclass=_Interned):
         return render_formula(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BoolLit(Formula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BoolRef(Formula):
-    var: Var
+    __slots__ = ("var",)
+
+    def __init__(self, var: Var) -> None:
+        set_field(self, "var", var)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Cmp(Formula):
-    op: str  # one of ==, !=, <, <=
-    lhs: Term
-    rhs: Term
+    __slots__ = ("op", "lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.op not in ("==", "!=", "<", "<="):
-            raise ValueError(f"bad comparison operator {self.op!r}")
+    def __init__(self, op: str, lhs: Term, rhs: Term) -> None:
+        if op not in ("==", "!=", "<", "<="):
+            raise ValueError(f"bad comparison operator {op!r}")
+        set_field(self, "op", op)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula) -> None:
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class And(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Formula, ...]) -> None:
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Or(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Formula, ...]) -> None:
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula) -> None:
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
 TRUE = BoolLit(True)

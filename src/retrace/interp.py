@@ -18,7 +18,6 @@ sampled by its declared type, so the generated code reads unchecked.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any, Callable, Iterable, Optional, Union
 
@@ -47,6 +46,7 @@ from .lang import (
     SpecStmt,
     While,
 )
+from .record import Record
 from .tracespec import TraceSpec, complete, union_of
 
 _SPEC_RETRIES = 64
@@ -64,11 +64,11 @@ class NoSatisfyingState(Exception):
     """Rejection sampling found no pre-state satisfying the precondition."""
 
 
-@dataclass
-class RunResult:
-    outcome: str  # "stopped" | "aborted" | "fuel"
-    state: Optional[dict[str, Value]]
-    trace: tuple[str, ...]
+class RunResult(Record):
+    __slots__ = ("outcome", "state", "trace")
+
+    def __init__(self, outcome: str, state: Optional[dict[str, Value]], trace: tuple[str, ...]) -> None:
+        self.outcome, self.state, self.trace = outcome, state, trace  # outcome: "stopped" | "aborted" | "fuel"
 
 
 class _Aborted(Exception):
@@ -428,22 +428,22 @@ def run(
     return RunResult("stopped", final, tuple(r.trace))
 
 
-@dataclass
-class Violation:
-    run: int  # the run's 0-based index within its check
-    pre_state: dict[str, Value]
-    trace: tuple[str, ...]
-    reason: str  # "postcondition" | "trace" | "aborted"
-    detail: str = ""
+class Violation(Record):
+    __slots__ = ("run", "pre_state", "trace", "reason", "detail")
+
+    def __init__(self, run: int, pre_state: dict[str, Value], trace: tuple[str, ...], reason: str,
+                 detail: str = "") -> None:
+        self.run, self.pre_state, self.trace = run, pre_state, trace  # run: 0-based index within its check
+        self.reason, self.detail = reason, detail  # reason: "postcondition" | "trace" | "aborted"
 
 
-@dataclass
-class OracleReport:
-    entry: str
-    runs: int
-    completed: int = 0
-    fuel_exhausted: int = 0
-    violations: list[Violation] = field(default_factory=list)
+class OracleReport(Record):
+    __slots__ = ("entry", "runs", "completed", "fuel_exhausted", "violations")
+
+    def __init__(self, entry: str, runs: int, completed: int = 0, fuel_exhausted: int = 0,
+                 violations: Optional[list[Violation]] = None) -> None:
+        self.entry, self.runs, self.completed, self.fuel_exhausted = entry, runs, completed, fuel_exhausted
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Callable, NamedTuple, Optional, Union
 
@@ -37,6 +36,7 @@ from .formula import (
     term_sum,
     tvar,
 )
+from .record import Frozen, Record, set_field
 from .tracespec import TraceOption, TraceSpec
 
 
@@ -80,103 +80,127 @@ class UnboundName(SourceError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    col: int
+class Span(Frozen):
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int) -> None:
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
-class Command:
+class Command(Frozen):
     __slots__ = ()
+    _uncompared = ("span",)
 
 
-@dataclass(frozen=True)
 class SpecStmt(Command):
     """Atomic specification statement: when `guard` holds, update `mods` to
     values related by `rel` (primed = new) while emitting a trace of
     `trace`; aborts when the guard fails."""
 
-    mods: tuple[str, ...]
-    guard: Formula
-    rel: Formula
-    trace: TraceSpec
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("mods", "guard", "rel", "trace", "span")
+
+    def __init__(self, mods: tuple[str, ...], guard: Formula, rel: Formula, trace: TraceSpec,
+                 span: Optional[Span] = None) -> None:
+        set_field(self, "mods", mods)
+        set_field(self, "guard", guard)
+        set_field(self, "rel", rel)
+        set_field(self, "trace", trace)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Emit(Command):
-    event: str
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("event", "span")
+
+    def __init__(self, event: str, span: Optional[Span] = None) -> None:
+        set_field(self, "event", event)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Assign(Command):
-    var: str
-    value: Union[Term, Formula]
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("var", "value", "span")
+
+    def __init__(self, var: str, value: Union[Term, Formula], span: Optional[Span] = None) -> None:
+        set_field(self, "var", var)
+        set_field(self, "value", value)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Havoc(Command):
-    var: str
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("var", "span")
+
+    def __init__(self, var: str, span: Optional[Span] = None) -> None:
+        set_field(self, "var", var)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Seq(Command):
-    stmts: tuple[Command, ...] = ()
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: tuple[Command, ...] = ()) -> None:
+        set_field(self, "stmts", stmts)
 
 
-@dataclass(frozen=True)
 class If(Command):
-    test: Formula
-    then: Command
-    orelse: Command
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("test", "then", "orelse", "span")
+
+    def __init__(self, test: Formula, then: Command, orelse: Command, span: Optional[Span] = None) -> None:
+        set_field(self, "test", test)
+        set_field(self, "then", then)
+        set_field(self, "orelse", orelse)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class While(Command):
-    test: Formula
-    invariant: Formula
-    trace_inv: TraceSpec
-    body: Command
-    local_trace: bool = False
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("test", "invariant", "trace_inv", "body", "local_trace", "span")
+
+    def __init__(self, test: Formula, invariant: Formula, trace_inv: TraceSpec, body: Command,
+                 local_trace: bool = False, span: Optional[Span] = None) -> None:
+        set_field(self, "test", test)
+        set_field(self, "invariant", invariant)
+        set_field(self, "trace_inv", trace_inv)
+        set_field(self, "body", body)
+        set_field(self, "local_trace", local_trace)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Call(Command):
-    proc: str
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("proc", "span")
+
+    def __init__(self, proc: str, span: Optional[Span] = None) -> None:
+        set_field(self, "proc", proc)
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Abort(Command):
     """Unconditional guard failure, `<-: false ~> true | ()>`."""
 
-    span: Optional[Span] = field(default=None, compare=False)
+    __slots__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None) -> None:
+        set_field(self, "span", span)
 
 
-@dataclass(frozen=True)
-class GlobalVar:
-    name: str
-    type: str  # "bool" | "int"
-    init: Optional[Union[bool, int]] = None
+class GlobalVar(Frozen):
+    __slots__ = ("name", "type", "init")
+
+    def __init__(self, name: str, type: str, init: Optional[Union[bool, int]] = None) -> None:
+        set_field(self, "name", name)
+        set_field(self, "type", type)  # "bool" | "int"
+        set_field(self, "init", init)
 
 
-@dataclass
-class Procedure:
-    name: str
-    requires: Formula = TRUE
-    ensures: Formula = TRUE
-    trace: TraceSpec = TraceSpec()
-    modifies: tuple[str, ...] = ()
-    locals: dict[str, str] = field(default_factory=dict)
-    body: Optional[Command] = None
-    span: Optional[Span] = field(default=None, compare=False)
-    implicit: bool = field(default=False, compare=False)
-    mod_set: Optional[frozenset[str]] = field(default=None, compare=False)
+class Procedure(Record):
+    __slots__ = ("name", "requires", "ensures", "trace", "modifies", "locals", "body", "span", "implicit", "mod_set")
+    _uncompared = ("span", "implicit", "mod_set")
+
+    def __init__(self, name: str, requires: Formula = TRUE, ensures: Formula = TRUE, trace: TraceSpec = TraceSpec(),
+                 modifies: tuple[str, ...] = (), locals: Optional[dict[str, str]] = None,
+                 body: Optional[Command] = None, span: Optional[Span] = None, implicit: bool = False,
+                 mod_set: Optional[frozenset[str]] = None) -> None:
+        self.name, self.requires, self.ensures, self.trace, self.modifies = name, requires, ensures, trace, modifies
+        self.locals = {} if locals is None else locals
+        self.body, self.span, self.implicit, self.mod_set = body, span, implicit, mod_set
 
     @property
     def writes(self) -> frozenset[str]:
@@ -190,16 +214,19 @@ class Procedure:
         return SpecStmt(tuple(sorted(self.writes)), self.requires, self.ensures, self.trace, span=span)
 
 
-@dataclass
-class Program:
-    events: tuple[str, ...] = ()
-    consts: dict[str, int] = field(default_factory=dict)
-    variables: dict[str, GlobalVar] = field(default_factory=dict)
-    procedures: dict[str, Procedure] = field(default_factory=dict)
-    source: str = field(default="<input>", compare=False)
-    entry: Optional[str] = field(default=None, compare=False)
-    int_domain: tuple[int, int] = field(default=(-8, 8), compare=False)
-    int_pool: tuple[int, ...] = field(default=(), compare=False)
+class Program(Record):
+    __slots__ = ("events", "consts", "variables", "procedures", "source", "entry", "int_domain", "int_pool")
+    _uncompared = ("source", "entry", "int_domain", "int_pool")
+
+    def __init__(self, events: tuple[str, ...] = (), consts: Optional[dict[str, int]] = None,
+                 variables: Optional[dict[str, GlobalVar]] = None, procedures: Optional[dict[str, Procedure]] = None,
+                 source: str = "<input>", entry: Optional[str] = None, int_domain: tuple[int, int] = (-8, 8),
+                 int_pool: tuple[int, ...] = ()) -> None:
+        self.events = events
+        self.consts = {} if consts is None else consts
+        self.variables = {} if variables is None else variables
+        self.procedures = {} if procedures is None else procedures
+        self.source, self.entry, self.int_domain, self.int_pool = source, entry, int_domain, int_pool
 
     def var_type(self, name: str, proc: Optional[Procedure] = None) -> Optional[str]:
         if proc is not None and name in proc.locals:

@@ -18,8 +18,9 @@ interpreter's recursion limit however long the expressions get.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
+
+from .record import Frozen, set_field
 
 Word = tuple[str, ...]
 
@@ -344,13 +345,15 @@ def shortest_word(r: Regex) -> Optional[Word]:
     return best
 
 
-@dataclass(frozen=True)
-class InclusionResult:
+class InclusionResult(Frozen):
     """Outcome of a language-inclusion check; `witness` is a word of the
     left language missing from the right one when the check fails."""
 
-    holds: bool
-    witness: Optional[Word] = None
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: Optional[Word] = None) -> None:
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -41,9 +41,6 @@ The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 from __future__ import annotations
 
 import math
-import shlex
-import subprocess
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .formula import (
@@ -62,22 +59,27 @@ from .formula import (
     conj,
     neg,
 )
+from .record import Frozen, set_field
 
 Model = dict[Var, object]
 
 
-@dataclass(frozen=True)
-class SatResult:
-    status: str  # "sat" | "unsat" | "unknown"
-    model: Optional[Model] = None
-    diagnostic: Optional[str] = None
+class SatResult(Frozen):
+    __slots__ = ("status", "model", "diagnostic")
+
+    def __init__(self, status: str, model: Optional[Model] = None, diagnostic: Optional[str] = None) -> None:
+        set_field(self, "status", status)  # "sat" | "unsat" | "unknown"
+        set_field(self, "model", model)
+        set_field(self, "diagnostic", diagnostic)
 
 
-@dataclass(frozen=True)
-class EntailResult:
-    status: str  # "valid" | "invalid" | "unknown"
-    model: Optional[Model] = None
-    diagnostic: Optional[str] = None
+class EntailResult(Frozen):
+    __slots__ = ("status", "model", "diagnostic")
+
+    def __init__(self, status: str, model: Optional[Model] = None, diagnostic: Optional[str] = None) -> None:
+        set_field(self, "status", status)  # "valid" | "invalid" | "unknown"
+        set_field(self, "model", model)
+        set_field(self, "diagnostic", diagnostic)
 
 
 class Solver:
@@ -857,6 +859,7 @@ class SmtLibSolver(Solver):
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
+        import shlex  # imported here, so that `import retrace` pays only for what every caller uses
         self.command = shlex.split(command)
         if not self.command:
             raise ValueError("empty solver command")
@@ -870,6 +873,7 @@ class SmtLibSolver(Solver):
         return hit
 
     def _decide(self, f: Formula) -> SatResult:
+        import subprocess  # as `shlex` in `__init__`
         script = to_smtlib(f)
         try:
             proc = subprocess.run(

@@ -10,7 +10,6 @@ over the guards.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import regex as rx
@@ -28,21 +27,26 @@ from .formula import (
     neg,
     substitute,
 )
+from .record import Frozen, set_field
 from .solver import Solver
 
 
-@dataclass(frozen=True)
-class TraceOption:
-    regex: rx.Regex
-    guard: Formula
+class TraceOption(Frozen):
+    __slots__ = ("regex", "guard")
+
+    def __init__(self, regex: rx.Regex, guard: Formula) -> None:
+        set_field(self, "regex", regex)
+        set_field(self, "guard", guard)
 
     def __str__(self) -> str:
         return f"{rx.render(self.regex)} if {self.guard}"
 
 
-@dataclass(frozen=True)
-class TraceSpec:
-    options: tuple[TraceOption, ...] = ()
+class TraceSpec(Frozen):
+    __slots__ = ("options",)
+
+    def __init__(self, options: tuple[TraceOption, ...] = ()) -> None:
+        set_field(self, "options", options)
 
     def __str__(self) -> str:
         if not self.options:
@@ -106,16 +110,19 @@ def subst_spec(spec: TraceSpec, pre: Substitution) -> TraceSpec:
     )
 
 
-@dataclass(frozen=True)
-class InclusionCase:
+class InclusionCase(Frozen):
     """One discharged (or failed) case of a guarded inclusion."""
 
-    context: Formula
-    lhs: rx.Regex
-    rhs: rx.Regex
-    holds: bool
-    witness: Optional[rx.Word] = None
-    note: Optional[str] = None
+    __slots__ = ("context", "lhs", "rhs", "holds", "witness", "note")
+
+    def __init__(self, context: Formula, lhs: rx.Regex, rhs: rx.Regex, holds: bool,
+                 witness: Optional[rx.Word] = None, note: Optional[str] = None) -> None:
+        set_field(self, "context", context)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "holds", holds)
+        set_field(self, "witness", witness)
+        set_field(self, "note", note)
 
 
 def inclusion_obligations(

@@ -18,7 +18,6 @@ through the callee contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import regex as rx
@@ -54,6 +53,7 @@ from .lang import (
     While,
     modified_in,
 )
+from .record import Record
 from .solver import BuiltinSolver, Solver
 from .tracespec import (
     TraceSpec,
@@ -74,21 +74,18 @@ SymValue = Union[Term, Formula]
 Store = dict[str, SymValue]
 
 
-@dataclass
-class Obligation:
-    kind: str
-    description: str
-    holds: bool
-    span: Optional[Span] = None
-    context: str = ""
-    lhs: str = ""
-    rhs: str = ""
-    witness: Optional[tuple[str, ...]] = None
-    model: Optional[dict[str, Union[bool, int]]] = None
-    note: Optional[str] = None
-    # regex payloads of trace inclusions, for programmatic consumers
-    lhs_regex: Optional[rx.Regex] = None
-    rhs_regex: Optional[rx.Regex] = None
+class Obligation(Record):
+    __slots__ = ("kind", "description", "holds", "span", "context", "lhs", "rhs", "witness", "model", "note",
+                 "lhs_regex", "rhs_regex")
+
+    def __init__(self, kind: str, description: str, holds: bool, span: Optional[Span] = None, context: str = "",
+                 lhs: str = "", rhs: str = "", witness: Optional[tuple[str, ...]] = None,
+                 model: Optional[dict[str, Union[bool, int]]] = None, note: Optional[str] = None,
+                 lhs_regex: Optional[rx.Regex] = None, rhs_regex: Optional[rx.Regex] = None) -> None:
+        self.kind, self.description, self.holds, self.span, self.context = kind, description, holds, span, context
+        self.lhs, self.rhs, self.witness, self.model, self.note = lhs, rhs, witness, model, note
+        # regex payloads of trace inclusions, for programmatic consumers
+        self.lhs_regex, self.rhs_regex = lhs_regex, rhs_regex
 
     def to_dict(self) -> dict:
         return {
@@ -118,11 +115,14 @@ class Obligation:
         return s
 
 
-@dataclass
-class ProcedureReport:
-    name: str
-    obligations: list[Obligation] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class ProcedureReport(Record):
+    __slots__ = ("name", "obligations", "warnings")
+
+    def __init__(self, name: str, obligations: Optional[list[Obligation]] = None,
+                 warnings: Optional[list[str]] = None) -> None:
+        self.name = name
+        self.obligations = [] if obligations is None else obligations
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def verified(self) -> bool:
@@ -141,10 +141,12 @@ class ProcedureReport:
         }
 
 
-@dataclass
-class VerdictReport:
-    source: str
-    procedures: list[ProcedureReport] = field(default_factory=list)
+class VerdictReport(Record):
+    __slots__ = ("source", "procedures")
+
+    def __init__(self, source: str, procedures: Optional[list[ProcedureReport]] = None) -> None:
+        self.source = source
+        self.procedures = [] if procedures is None else procedures
 
     @property
     def verified(self) -> bool:

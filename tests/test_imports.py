@@ -1,4 +1,5 @@
-"""Lint: every top-level import in `src/retrace` is used or re-exported.
+"""Lint: every top-level import in `src/retrace` is used or re-exported,
+and importing the package loads no more than it needs.
 
 Standard library only.  A name bound by a module-level `import` or
 `from … import` must appear somewhere in that module as an `ast.Name`
@@ -7,7 +8,11 @@ the module's `__all__`.
 """
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +56,24 @@ def test_unused_import_is_reported():
         "def f(a: Optional[int]) -> None: os.sep\n"
     )
     assert unused_imports(tree) == ["Callable (line 3)"]
+
+
+def test_import_loads_no_code_generator():
+    # records are plain classes, and only the external SMT backend starts a
+    # process, so `import retrace` needs none of these modules
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import retrace\n"
+        "print(sorted({'dataclasses', 'inspect', 'subprocess'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(module):
+    mod = importlib.import_module(f"retrace.{module.stem}" if module.stem != "__init__" else "retrace")
+    classes = [c for c in vars(mod).values() if isinstance(c, type) and c.__module__ == mod.__name__]
+    assert [c.__name__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
