@@ -91,7 +91,7 @@ def _run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        except SourceError as exc:
+        except (SourceError, UnicodeDecodeError) as exc:
             print(f"{path}: error: {exc}", file=sys.stderr)
             return EXIT_ERROR
         entry = args.entry or program.entry

@@ -10,8 +10,9 @@ so equal nodes are one object and compare and hash by identity.
 
 from __future__ import annotations
 
+import operator
 from functools import total_ordering
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from .record import Frozen, set_field
 
@@ -188,11 +189,14 @@ class BoolRef(Formula):
         set_field(self, "var", var)
 
 
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le}
+
+
 class Cmp(Formula):
     __slots__ = ("op", "lhs", "rhs")
 
     def __init__(self, op: str, lhs: Term, rhs: Term) -> None:
-        if op not in ("==", "!=", "<", "<="):
+        if op not in _COMPARE:
             raise ValueError(f"bad comparison operator {op!r}")
         set_field(self, "op", op)
         set_field(self, "lhs", lhs)
@@ -239,9 +243,7 @@ def boolref(name: str, primed: bool = False) -> Formula:
 def cmp(op: str, lhs: Term, rhs: Term) -> Formula:
     """Comparison atom; constant-folds when both sides are constants."""
     if lhs.is_const() and rhs.is_const():
-        a, b = lhs.const, rhs.const
-        result = {"==": a == b, "!=": a != b, "<": a < b, "<=": a <= b}[op]
-        return TRUE if result else FALSE
+        return TRUE if _COMPARE[op](lhs.const, rhs.const) else FALSE
     return Cmp(op, lhs, rhs)
 
 
@@ -384,158 +386,46 @@ def substitute(
     return implies(substitute(f.lhs, pre, post), substitute(f.rhs, pre, post))
 
 
-Env = tuple[Optional[Mapping[str, Value]], ...]
-Selector = Callable[[Var], int]
-
-
-def by_prime(v: Var) -> int:
-    """The selector of `evaluate`: unprimed variables read the first
-    mapping, primed ones the second."""
-    return 1 if v.primed else 0
-
-
-# CPython rejects an expression nested in more than 200 parentheses, and its
-# compiler recurses once per operand of a chain of `+`: a subformula nested
-# this deep becomes a function of its own, and a long sum is grouped
-_MAX_NESTING = 50
-_SUM_CHUNK = 64
-
-
-class PySource:
-    """Renders formulas and linear terms as Python expressions, the one
-    formula compiler of the package.  `read(v, boolean)` is the expression
-    that reads `v`.  Connectives short-circuit left to right and operands
-    are read in order, as a recursive evaluation would read them.  A
-    subformula nested deeper than CPython accepts is rendered as a function
-    of `params`, whose definition is appended to `defs`."""
-
-    def __init__(self, read: Callable[[Var, bool], str], params: str, defs: list[str]) -> None:
-        self.read = read
-        self.params = params
-        self.defs = defs
-
-    def __call__(self, e: Union[Formula, Term]) -> str:
-        return self.term(e) if isinstance(e, Term) else self.formula(e)
-
-    def term(self, t: Term) -> str:
-        parts = [str(t.const)] if t.const or not t.coeffs else []
-        for v, c in t.coeffs:
-            x = self.read(v, False)
-            parts.append(x if c == 1 else f"-{x}" if c == -1 else f"{c} * {x}")
-        if len(parts) > _SUM_CHUNK:
-            parts = ["(" + " + ".join(parts[k:k + _SUM_CHUNK]) + ")" for k in range(0, len(parts), _SUM_CHUNK)]
-        return " + ".join(parts)
-
-    def formula(self, f: Formula, depth: int = 0) -> str:
-        if depth >= _MAX_NESTING:
-            body = self.formula(f)
-            name = f"_x{len(self.defs)}"
-            self.defs.append(f"def {name}({self.params}):\n    return {body}")
-            return f"{name}({self.params})"
-        if isinstance(f, BoolLit):
-            return "True" if f.value else "False"
-        if isinstance(f, BoolRef):
-            return self.read(f.var, True)
-        if isinstance(f, Cmp):
-            return f"({self.term(f.lhs)} {f.op} {self.term(f.rhs)})"
-        if isinstance(f, Not):
-            return f"(not {self.formula(f.arg, depth + 1)})"
-        if isinstance(f, Implies):
-            return f"(not {self.formula(f.lhs, depth + 1)} or {self.formula(f.rhs, depth + 1)})"
-        assert isinstance(f, (And, Or))
-        if not f.args:
-            return "True" if isinstance(f, And) else "False"
-        op = " and " if isinstance(f, And) else " or "
-        return "(" + op.join(self.formula(a, depth + 1) for a in f.args) + ")"
-
-
-def build(lines: list[str], namespace: dict[str, Any]) -> Any:
-    """Run `lines` as the body of a function whose globals are `namespace`
-    and return what it returns.  The functions it defines reach each other
-    through closure cells, and `namespace` keeps none of them, so nothing
-    built here is part of a reference cycle."""
-    src = "def _make():\n" + "".join(f"    {ln}\n" for s in lines for ln in s.split("\n"))
-    exec(compile(src, "<retrace>", "exec"), namespace)
-    return namespace.pop("_make")()
-
-
-def _read_int(env: Env, i: int, name: str, label: str) -> int:
-    try:
-        val = env[i][name]  # type: ignore[index]
-    except (LookupError, TypeError):  # no such name, or env[i] is absent
-        raise UnboundVariable(f"no value for {label}") from None
-    if val is True or val is False:
-        raise UnboundVariable(mistyped(label, False))
-    return val
-
-
-def _read_bool(env: Env, i: int, name: str, label: str) -> bool:
-    try:
-        val = env[i][name]  # type: ignore[index]
-    except (LookupError, TypeError):
-        raise UnboundVariable(f"no value for {label}") from None
-    if val is True or val is False:
-        return val
-    raise UnboundVariable(mistyped(label, True))
-
-
-def mistyped(label: str, boolean: bool) -> str:
-    """The message of a read that finds a value of the other type."""
-    if boolean:
-        return f"{label} holds an integer, expected a boolean"
-    return f"{label} holds a boolean, expected an integer"
-
-
-def compile_checked(
-    exprs: tuple[Union[Formula, Term], ...],
-    select: Selector,
-    combine: Callable[[list[str]], str] = lambda xs: xs[0],
-    **names: Any,
-) -> Callable[[Env], Any]:
-    """Compile `exprs` to one function of an environment, a tuple of
-    mappings, that returns `combine` of their renderings (by default the
-    first); `select` picks the mapping each variable is read from, and
-    `names` are globals of the generated code.  A missing mapping or name,
-    or a value of the other type, raises `UnboundVariable`."""
-
-    def read(v: Var, boolean: bool) -> str:
-        fn = "_read_bool" if boolean else "_read_int"
-        return f"{fn}(env, {select(v)}, {v.name!r}, {str(v)!r})"
-
-    defs: list[str] = []
-    render = PySource(read, "env", defs)
-    body = combine([render(e) for e in exprs])
-    namespace = {"_read_bool": _read_bool, "_read_int": _read_int, **names}
-    return build(defs + [f"return lambda env: {body}"], namespace)
-
-
-def compile_term(t: Term, select: Selector) -> Callable[[Env], int]:
-    """Compile a linear term to a function of an environment, as
-    `compile_checked` does."""
-    return compile_checked((t,), select)
-
-
-def compile_formula(f: Formula, select: Selector) -> Callable[[Env], bool]:
-    """Compile a formula to a function of an environment, as
-    `compile_checked` does; connectives short-circuit left to right."""
-    return compile_checked((f,), select)
+def typed(label: Union[str, Var], boolean: bool, value: Any) -> Value:
+    """`value`, read as `label` of the given type: a missing value (None) or
+    a value of the other type raises `UnboundVariable`."""
+    if value is None:
+        raise UnboundVariable(f"no value for {label}")
+    if (value is True or value is False) is not boolean:
+        held, wanted = ("an integer", "a boolean") if boolean else ("a boolean", "an integer")
+        raise UnboundVariable(f"{label} holds {held}, expected {wanted}")
+    return value
 
 
 def eval_term(t: Term, s: Optional[GroundState], sp: Optional[GroundState] = None) -> int:
-    """Ground evaluation of a term, as `evaluate` reads variables.  A
-    one-shot convenience that compiles `t` on every call; a caller that
-    evaluates a term repeatedly should hold a `compile_term` result."""
-    return compile_term(t, by_prime)((s, sp))
+    """Ground evaluation of a term, reading variables as `evaluate` does."""
+    total = t.const
+    for v, c in t.coeffs:
+        total += c * typed(v, False, _binding(v, s, sp))
+    return total
 
 
 def evaluate(
     f: Formula, s: Optional[GroundState], sp: Optional[GroundState] = None
 ) -> bool:
     """Ground evaluation: unprimed variables read from `s`, primed from `sp`,
-    by name; a missing or mis-typed value raises `UnboundVariable`.  A
-    one-shot convenience that compiles `f` on every call; a caller that
-    evaluates a formula repeatedly should hold a `compile_formula` result."""
-    return compile_formula(f, by_prime)((s, sp))
+    by name; a missing or mis-typed value raises `UnboundVariable`.
+    Connectives short-circuit left to right, and operands are read in
+    order."""
+    if isinstance(f, BoolLit):
+        return f.value
+    if isinstance(f, BoolRef):
+        return typed(f.var, True, _binding(f.var, s, sp))
+    if isinstance(f, Cmp):
+        return _COMPARE[f.op](eval_term(f.lhs, s, sp), eval_term(f.rhs, s, sp))
+    if isinstance(f, Not):
+        return not evaluate(f.arg, s, sp)
+    if isinstance(f, And):
+        return all(evaluate(a, s, sp) for a in f.args)
+    if isinstance(f, Or):
+        return any(evaluate(a, s, sp) for a in f.args)
+    assert isinstance(f, Implies)
+    return not evaluate(f.lhs, s, sp) or evaluate(f.rhs, s, sp)
 
 
 _PREC = {"implies": 0, "or": 1, "and": 2, "not": 3}

@@ -24,14 +24,19 @@ from typing import Any, Callable, Iterable, Optional, Union
 from . import regex as rx
 from .formula import (
     TRUE,
+    And,
     BoolLit,
+    BoolRef,
+    Cmp,
+    Formula,
     GroundState,
-    PySource,
-    UnboundVariable,
+    Implies,
+    Not,
+    Or,
+    Term,
     Value,
     Var,
-    build,
-    mistyped,
+    typed,
 )
 from .lang import (
     Abort,
@@ -58,6 +63,11 @@ _STOP_PROB = 0.4
 # `_LOOP_DEPTH`, becomes a function of its own
 _MAX_DEPTH = 40
 _LOOP_DEPTH = 5
+# CPython rejects an expression nested in more than 200 parentheses, and its
+# compiler recurses once per operand of a chain of `+`: a subformula nested
+# `_MAX_NESTING` deep becomes a function of its own, and a long sum is grouped
+_MAX_NESTING = 50
+_SUM_CHUNK = 64
 
 
 class NoSatisfyingState(Exception):
@@ -109,6 +119,64 @@ class _Run:
         self.trace: list[str] = []
         self.globals: dict[str, Value] = {}
         self.procedures = procedures
+
+
+class PySource:
+    """Renders formulas and linear terms as Python expressions, the one
+    formula compiler of the package.  `read(v)` is the expression that reads
+    `v`.  Connectives short-circuit left to right and operands are read in
+    order, as `formula.evaluate` reads them.  A subformula nested deeper
+    than CPython accepts is rendered as a function of `params`, whose
+    definition is appended to `defs`."""
+
+    def __init__(self, read: Callable[[Var], str], params: str, defs: list[str]) -> None:
+        self.read = read
+        self.params = params
+        self.defs = defs
+
+    def __call__(self, e: Union[Formula, Term]) -> str:
+        return self.term(e) if isinstance(e, Term) else self.formula(e)
+
+    def term(self, t: Term) -> str:
+        parts = [str(t.const)] if t.const or not t.coeffs else []
+        for v, c in t.coeffs:
+            x = self.read(v)
+            parts.append(x if c == 1 else f"-{x}" if c == -1 else f"{c} * {x}")
+        if len(parts) > _SUM_CHUNK:
+            parts = ["(" + " + ".join(parts[k:k + _SUM_CHUNK]) + ")" for k in range(0, len(parts), _SUM_CHUNK)]
+        return " + ".join(parts)
+
+    def formula(self, f: Formula, depth: int = 0) -> str:
+        if depth >= _MAX_NESTING:
+            body = self.formula(f)
+            name = f"_x{len(self.defs)}"
+            self.defs.append(f"def {name}({self.params}):\n    return {body}")
+            return f"{name}({self.params})"
+        if isinstance(f, BoolLit):
+            return "True" if f.value else "False"
+        if isinstance(f, BoolRef):
+            return self.read(f.var)
+        if isinstance(f, Cmp):
+            return f"({self.term(f.lhs)} {f.op} {self.term(f.rhs)})"
+        if isinstance(f, Not):
+            return f"(not {self.formula(f.arg, depth + 1)})"
+        if isinstance(f, Implies):
+            return f"(not {self.formula(f.lhs, depth + 1)} or {self.formula(f.rhs, depth + 1)})"
+        assert isinstance(f, (And, Or))
+        if not f.args:
+            return "True" if isinstance(f, And) else "False"
+        op = " and " if isinstance(f, And) else " or "
+        return "(" + op.join(self.formula(a, depth + 1) for a in f.args) + ")"
+
+
+def build(lines: list[str], namespace: dict[str, Any]) -> Any:
+    """Run `lines` as the body of a function whose globals are `namespace`
+    and return what it returns.  The functions it defines reach each other
+    through closure cells, and `namespace` keeps none of them, so nothing
+    built here is part of a reference cycle."""
+    src = "def _make():\n" + "".join(f"    {ln}\n" for s in lines for ln in s.split("\n"))
+    exec(compile(src, "<retrace>", "exec"), namespace)
+    return namespace.pop("_make")()
 
 
 _BURN = ("r.fuel -= 1", "if r.fuel < 0:", "    raise _OutOfFuel")
@@ -193,7 +261,7 @@ class _Generator:
         local holding its candidate value."""
         cands = candidates or {}
 
-        def read(v: Var, boolean: bool) -> str:
+        def read(v: Var) -> str:
             if v.primed and v.name in cands:
                 return cands[v.name]
             return f"F[{v.name!r}]" if v.name in local else f"G[{v.name!r}]"
@@ -258,10 +326,10 @@ class _Generator:
             fn.emit(indent, f"{nested.name}(r, F, G)")
         elif isinstance(c, Assign):
             value = render(c.value)
-            fn.emit(indent, f"{render.read(Var(c.var), False)} = {value}")
+            fn.emit(indent, f"{render.read(Var(c.var))} = {value}")
         elif isinstance(c, Havoc):
             value = self.draw(fn, self.type_of(c.var, local))
-            fn.emit(indent, f"{render.read(Var(c.var), False)} = {value}")
+            fn.emit(indent, f"{render.read(Var(c.var))} = {value}")
         elif isinstance(c, If):
             keyword = "if"
             while True:
@@ -323,7 +391,7 @@ class _Generator:
         lang, known = self.union(complete(c.trace), render)
         if known is not rx.EPSILON:
             fn.emit(0, f"L = {lang}")
-        fn.emit(0, *(f"{render.read(Var(m), False)} = {cand}" for m, cand in cands.items()))
+        fn.emit(0, *(f"{render.read(Var(m))} = {cand}" for m, cand in cands.items()))
         if known is not rx.EPSILON:
             fn.uses.update("TRC")
             # an empty language leaves the statement stuck
@@ -338,15 +406,15 @@ class _Generator:
         the pre-state `S` and the final state `Z`; and its completed
         contract language at `Z`."""
         proc = self.p.procedures[entry]
-        pre = PySource(lambda v, b: f"S[{v.name!r}]", "S", self.defs)
+        pre = PySource(lambda v: f"S[{v.name!r}]", "S", self.defs)
         sample = _Function("_pre", "rng")
         typed = [(n, gv.type) for n, gv in self.p.variables.items()] + list(proc.locals.items())
         state = ", ".join(f"{n!r}: {self.draw(sample, ty)}" for n, ty in typed)
         sample.emit(0, "for _ in _ATTEMPTS:", f"    S = {{{state}}}")
         sample.emit(1, f"if {pre.formula(proc.requires)}:", "    return S")
         sample.emit(0, "return None")
-        post = PySource(lambda v, b: f"Z[{v.name!r}]" if v.primed else f"S[{v.name!r}]", "S, Z", self.defs)
-        final = PySource(lambda v, b: f"Z[{v.name!r}]", "Z", self.defs)
+        post = PySource(lambda v: f"Z[{v.name!r}]" if v.primed else f"S[{v.name!r}]", "S, Z", self.defs)
+        final = PySource(lambda v: f"Z[{v.name!r}]", "Z", self.defs)
         lang, _ = self.union(complete(proc.trace), final)
         self.functions += [
             sample.source("rng"),
@@ -377,12 +445,6 @@ class CompiledProgram:
         )
 
 
-def _typed(name: str, boolean: bool, v: Value) -> Value:
-    if (v is True or v is False) is not boolean:
-        raise UnboundVariable(mistyped(name, boolean))
-    return v
-
-
 def run(
     p: Union[Program, CompiledProgram],
     entry: str,
@@ -397,8 +459,8 @@ def run(
     run many times.  `s0` must assign every global; entries for the
     procedure's locals are honored as their arbitrary initial values.  Each
     value `s0` gives a global or a local of `entry` is checked against the
-    variable's type, here, whether or not the run reads it: a value of the
-    other type raises `UnboundVariable`, as a read of it would.
+    variable's type, here, whether or not the run reads it: None or a value
+    of the other type raises `UnboundVariable`, as a read of it would.
     """
     code = p if isinstance(p, CompiledProgram) else CompiledProgram(p)
     enter = code.procedures.get(entry)
@@ -408,13 +470,13 @@ def run(
     g = r.globals
     for name, boolean, init in code.globals:
         if name in s0:
-            g[name] = _typed(name, boolean, s0[name])
+            g[name] = typed(name, boolean, s0[name])
         elif init is not None:
             g[name] = init
         else:
             raise ValueError(f"pre-state misses global {name!r}")
     local = code.program.procedures[entry].locals
-    frame_init = {k: _typed(k, local[k] == "bool", v) for k, v in s0.items() if k in local}
+    frame_init = {k: typed(k, local[k] == "bool", v) for k, v in s0.items() if k in local}
     try:
         frame = enter(r, frame_init)
     except _Aborted:

@@ -15,15 +15,12 @@ from typing import Callable, Optional
 from . import regex as rx
 from .formula import (
     TRUE,
-    Env,
     Formula,
     GroundState,
-    Selector,
     Substitution,
-    by_prime,
-    compile_checked,
     conj,
     disj,
+    evaluate,
     neg,
     substitute,
 )
@@ -74,25 +71,13 @@ def union_of(spec: TraceSpec) -> Callable[[tuple[bool, ...]], rx.Regex]:
     return union
 
 
-def compile_spec(spec: TraceSpec, select: Selector) -> Callable[[Env], rx.Regex]:
-    """Compile the guards once, as `compile_formula` does; the result maps
-    an environment to the union of the options whose guards hold there."""
-    return compile_checked(
-        tuple(o.guard for o in spec.options),
-        select,
-        lambda guards: "_union((" + "".join(g + ", " for g in guards) + "))",
-        _union=union_of(spec),
-    )
-
-
 def eval_at(
     spec: TraceSpec, s: Optional[GroundState], sp: Optional[GroundState] = None
 ) -> rx.Regex:
     """Evaluate at a ground state: the union of options with a true guard,
-    the empty language when none holds.  A one-shot convenience that
-    compiles the guards on every call; a caller that evaluates a
-    specification repeatedly should hold a `compile_spec` result."""
-    return compile_spec(spec, by_prime)((s, sp))
+    the empty language when none holds.  Every guard is evaluated, in
+    order, as `evaluate` does."""
+    return rx.choice(*[o.regex for o in spec.options if evaluate(o.guard, s, sp)])
 
 
 def complete(spec: TraceSpec) -> TraceSpec:

@@ -256,10 +256,6 @@ class Verifier:
                 out[name] = self.fresh(name, ty)
         return out
 
-    def feasible(self, f: Formula) -> bool:
-        # only a definite unsat prunes; unknown keeps the branch
-        return self.solver.feasible(f)
-
     # -- obligations --------------------------------------------------------
 
     def _entailment(
@@ -352,7 +348,7 @@ class Verifier:
             out: list[SymState] = []
             for cond, branch in ((t, c.then), (neg(t), c.orelse)):
                 path2 = conj(state.path, cond)
-                if not self.feasible(path2):
+                if not self.solver.feasible(path2):
                     continue
                 st = state.fork()
                 st.path = path2
@@ -385,7 +381,7 @@ class Verifier:
         for opt in complete(c.trace).options:
             phi = substitute(opt.guard, pre_store)
             path3 = conj(path2, phi)
-            if not self.feasible(path3):
+            if not self.solver.feasible(path3):
                 continue
             out.append(state.then(dict(post_store), path3, opt.regex))
         return out
@@ -419,10 +415,10 @@ class Verifier:
         # preservation: from an arbitrary state satisfying test and invariant,
         # with the prefix replaced by each satisfiable start case
         path_body = conj(substitute(inv, hstore), substitute(w.test, hstore))
-        if self.feasible(path_body):
+        if self.solver.feasible(path_body):
             for opt in starts.options:
                 case_path = conj(path_body, opt.guard)
-                if not self.feasible(case_path):
+                if not self.solver.feasible(case_path):
                     continue
                 start = SymState(dict(hstore), case_path, opt.regex)
                 for fin in self.exec(w.body, start, proc, obs, warnings):
@@ -436,7 +432,7 @@ class Verifier:
         # continuation: exit states assume the invariant and the negated test
         cstore = self.havoc(state.store, mods, proc)
         cpath = conj(state.path, substitute(inv, cstore), neg(substitute(w.test, cstore)))
-        if not self.feasible(cpath):
+        if not self.solver.feasible(cpath):
             return []
         if w.local_trace:
             # the loop contributes any number of body observations, framed onto
@@ -447,7 +443,7 @@ class Verifier:
         user_cases = 0
         for i, opt in enumerate(subst_spec(spec, cstore).options):
             path_exit = conj(cpath, opt.guard)
-            if not self.feasible(path_exit):
+            if not self.solver.feasible(path_exit):
                 continue
             if i < len(w.trace_inv.options):
                 user_cases += 1
@@ -556,7 +552,7 @@ class Verifier:
         report = ProcedureReport(name=name)
         entry = self.fresh_store(proc)
         path0 = substitute(proc.requires, entry)
-        if not self.feasible(path0):
+        if not self.solver.feasible(path0):
             report.warnings.append("precondition is unsatisfiable; contract holds vacuously")
             return report
         self._live_after = {}

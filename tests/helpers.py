@@ -167,9 +167,9 @@ def reference_eval_term(t: Term, s: Optional[GroundState], sp: Optional[GroundSt
 def reference_evaluate(
     f: Formula, s: Optional[GroundState], sp: Optional[GroundState] = None
 ) -> bool:
-    """`formula.evaluate` as a recursive walk over the formula, the
-    reference for the compiled evaluator: unprimed variables read from `s`,
-    primed from `sp`."""
+    """`formula.evaluate` written out on its own, the reference for its
+    verdicts and errors: unprimed variables read from `s`, primed from
+    `sp`."""
     if isinstance(f, BoolLit):
         return f.value
     if isinstance(f, BoolRef):
@@ -744,7 +744,7 @@ class ReferenceVerifier(Verifier):
         out = []
         for cond, branch in ((t, c.then), (neg(t), c.orelse)):
             path2 = conj(state.path, cond)
-            if not self.feasible(path2):
+            if not self.solver.feasible(path2):
                 continue
             st = state.fork()
             st.path = path2

@@ -50,6 +50,16 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def test_non_utf8_file_exits_two_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.rt"
+    bad.write_bytes(b"events a;\xff\n")
+    code, out, err = run_cli(capsys, str(bad))
+    assert code == 2
+    assert err.startswith(f"{bad}: error: ")
+    assert "Traceback" not in err
+    assert "internal error" not in err
+
+
 def test_resolve_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.rt"
     bad.write_text("events a;\nproc p() { q(); }\n")

@@ -1,3 +1,4 @@
+import builtins
 import random
 from collections.abc import Mapping
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_formula, random_term, reference_eval_term, reference_evaluate
+from retrace import regex as rx
 from retrace.formula import (
     FALSE,
     TRUE,
@@ -34,6 +36,7 @@ from retrace.formula import (
     term_sum,
     tvar,
 )
+from retrace.tracespec import eval_at, spec_of
 
 b = BoolRef(Var("b"))
 bp = BoolRef(Var("b", True))
@@ -221,6 +224,33 @@ def test_evaluate_rejects_mistyped_values():
     with pytest.raises(UnboundVariable, match="holds a boolean"):
         evaluate(cmp("<", tvar("x"), tconst(1)), {"x": True})
     assert evaluate(disj(b, cmp("<", tvar("x"), tconst(1))), {"b": True}) is True
+
+
+def test_a_none_value_reads_as_unbound():
+    # as `substitute` treats it: None is no value, whatever the type
+    with pytest.raises(UnboundVariable, match="^no value for x$"):
+        evaluate(cmp("<", tvar("x"), tconst(1)), {"x": None})
+    with pytest.raises(UnboundVariable, match="^no value for b$"):
+        evaluate(b, {"b": None})
+    with pytest.raises(UnboundVariable, match="^no value for x'$"):
+        eval_term(tvar("x", True), {}, {"x": None})
+
+
+def test_evaluation_generates_no_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile() called")
+
+    s = {"x": 2, "b": False}
+    a = rx.symbol("a")
+    spec = spec_of((a, neg(b)), (rx.star(a), b))
+    with monkeypatch.context() as patched:  # undone before a failure is reported
+        patched.setattr(builtins, "compile", refuse)
+        got = (
+            evaluate(implies(b, cmp("<", tvar("x"), tconst(1))), s),
+            eval_term(tvar("x").scaled(3) + tconst(1), s),
+            eval_at(spec, s),
+        )
+    assert got == (True, 7, a)
 
 
 def test_free_vars():

@@ -366,6 +366,12 @@ def _else_ifs(n):
     return f"events a;\nint x;\nproc p() {{\n{chain}\n}}\n"
 
 
+def _long_sum(n):
+    names = [f"v{k}" for k in range(n)]
+    decls = "".join(f"int {v};\n" for v in names)
+    return f"events a;\n{decls}proc p() {{\nint s;\ns = {' + '.join(names)};\nif (s < 0) {{ _(emit a) }}\n}}\n"
+
+
 def _deep_formulas(n):
     """An implication chain and a negation chain, each `n` connectives deep,
     and the chain over `x'` that relates a new value of `x`."""
@@ -396,11 +402,18 @@ def _deep_formula_program(n):
 
 @pytest.mark.parametrize(
     "make, n",
-    [(_nested_whiles, 25), (_nested_ifs, 120), (_else_ifs, 150), (_deep_formula_program, 300)],
+    [
+        (_nested_whiles, 25),
+        (_nested_ifs, 120),
+        (_else_ifs, 150),
+        (_deep_formula_program, 300),
+        (_long_sum, 4000),
+    ],
 )
 def test_deep_nesting_runs_as_reference_does(make, n):
     # deeper than CPython's limits of 20 nested loops, 100 indentation
-    # levels and 200 nested parentheses in one function
+    # levels and 200 nested parentheses in one function, and a sum longer
+    # than a chain of `+` its compiler accepts
     p = make(n) if make is _deep_formula_program else load(make(n))
     code = CompiledProgram(p, "p")
     outcomes = {_same_run(p, code, "p", seed, 10_000).outcome for seed in range(6)}
@@ -424,6 +437,15 @@ def test_pre_state_types_are_checked_at_entry():
         run(p, "p", {"x": 0, "b": 1}, 0)
     assert str(entry.value) == str(read.value)
     assert run(p, "p", {"x": 0, "b": True}, 0).outcome == "stopped"
+
+
+def test_a_none_pre_state_value_reads_as_unbound():
+    # at entry, as a read of it would
+    p = load("events a;\nint x;\nproc p() { bool b; _(emit a) }")
+    with pytest.raises(UnboundVariable, match="^no value for x$"):
+        run(p, "p", {"x": None}, 0)
+    with pytest.raises(UnboundVariable, match="^no value for b$"):
+        run(p, "p", {"x": 0, "b": None}, 0)
 
 
 def test_compiled_program_is_freed_by_reference_counting():
