@@ -1082,6 +1082,20 @@ def load(src: str, source: str = "<input>") -> Program:
     return resolve(parse(src, source))
 
 
+def _text(data: bytes) -> str:
+    # UTF-8, with newlines read as text mode reads them
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_file(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load(fh.read(), path)
+    """Load a UTF-8 source file; a byte that is not UTF-8 is a `ParseError`
+    at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        src = _text(data)
+    except UnicodeDecodeError as exc:
+        head = _text(data[: exc.start])
+        where = _at(_spans(head)(len(head)))
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", *where) from None
+    return load(src, path)

@@ -14,10 +14,16 @@ reordering and duplication of choices, which is what guarantees its
 termination.  Every walk along a concatenation is a loop, and the inclusion
 check is an explicit depth-first worklist, so neither depends on the
 interpreter's recursion limit however long the expressions get.
+
+The tables are keyed by the interned nodes themselves (Filliâtre and
+Conchon, "Type-safe modular hash-consing", 2006), and a concatenation whose
+head is not nullable shares its head's `first` set, so a long straight line
+of events costs one node and one table entry per event.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterator, Optional
 
 from .record import Frozen, set_field
@@ -91,8 +97,10 @@ class Star(Regex):
 EMPTY: Regex = Empty(False)
 EPSILON: Regex = Epsilon(True)
 
-# keys: (id(head), id(tail)) for concatenations, tagged tuples otherwise
-_interned: dict[object, Regex] = {}
+# ("sym", event), ("alt", *options) and ("star", inner) -> node
+_interned: dict[tuple, Regex] = {}
+# head -> tail -> concatenation
+_concats: defaultdict[Regex, dict[Regex, Regex]] = defaultdict(dict)
 
 
 def symbol(event: str) -> Regex:
@@ -108,11 +116,10 @@ def symbol(event: str) -> Regex:
 
 
 def _cons(head: Regex, tail: Regex) -> Regex:
-    key = (id(head), id(tail))
-    r = _interned.get(key)
+    tails = _concats[head]
+    r = tails.get(tail)
     if r is None:
-        r = Concat(head, tail)
-        _interned[key] = r
+        r = tails[tail] = Concat(head, tail)
     return r
 
 
@@ -168,7 +175,7 @@ def choice(*parts: Regex) -> Regex:
     if len(uniq) == 1:
         return uniq[0]
     uniq.sort(key=render)
-    key = ("alt", tuple(id(o) for o in uniq))
+    key = ("alt", *uniq)
     r = _interned.get(key)
     if r is None:
         r = Choice(tuple(uniq))
@@ -183,7 +190,7 @@ def star(r: Regex) -> Regex:
         return EPSILON
     if isinstance(r, Star):
         return r
-    key = ("star", id(r))
+    key = ("star", r)
     s = _interned.get(key)
     if s is None:
         s = Star(r)
@@ -249,6 +256,8 @@ def first(r: Regex) -> frozenset[str]:
             r._first = frozenset().union(*(first(o) for o in r.options))
         elif isinstance(r, Star):
             r._first = first(r.inner)
+        elif not r.head._nullable:
+            r._first = first(r.head)
         else:
             out: set[str] = set()
             for f in _spine(r):
@@ -259,25 +268,30 @@ def first(r: Regex) -> frozenset[str]:
     return r._first
 
 
-# (event, node) -> derivative; interned nodes hash by identity
-_derivatives: dict[tuple[str, Regex], Regex] = {}
+# event -> node -> derivative
+_derivatives: defaultdict[str, dict[Regex, Regex]] = defaultdict(dict)
 
 
 def derive(event: str, r: Regex) -> Regex:
     """Brzozowski derivative: the language of suffixes after a leading
     occurrence of `event`.
 
-    Memoized on the canonical, interned node, so a term is derived by each
-    event at most once (Owens, Reppy and Turon, 2009).
+    A concatenation headed by a symbol, one step of a straight line, is
+    derived in O(1) from its fields and not memoized.  Any other term is
+    memoized on the canonical, interned node, so it is derived by each event
+    at most once (Owens, Reppy and Turon, 2009).
     """
-    d = _derivatives.get((event, r))
+    if type(r) is Concat and type(r.head) is Symbol:
+        return r.tail if r.head.event == event else EMPTY
+    memo = _derivatives[event]
+    d = memo.get(r)
     if d is None:
-        d = _derivatives[event, r] = _derive(event, r)
+        d = memo[r] = _derive(event, r)
     return d
 
 
 def _derive(event: str, r: Regex) -> Regex:
-    # subterms go through the module's `derive`, and so through its memo
+    # subterms go through the module's `derive`, so its memo and its O(1) step
     if r is EMPTY or r is EPSILON:
         return EMPTY
     if isinstance(r, Symbol):
@@ -366,13 +380,16 @@ def included(u: Regex, v: Regex) -> InclusionResult:
     `first(u)` in sorted order.  The set of visited pairs acts as a
     simulation relation between the two expressions; canonical interning
     makes its keys stable, which bounds the search.  The search keeps its
-    own stack, one frame per pair being expanded, so its depth is not tied
-    to the recursion limit.  On failure the witness is the word that leads
-    to the failing pair, followed by a shortest word left over there.
+    own stack, so its depth is not tied to the recursion limit.  Only a pair
+    with two or more first events gets a frame to come back to; a pair with
+    one is stepped in place, so a straight line costs no frame per event.  On
+    failure the witness is the word that leads to the failing pair, followed
+    by a shortest word left over there.
     """
     visited: set[tuple[Regex, Regex]] = set()
-    # frames[i] expands a pair at depth i; path[i] is the event it took
-    frames: list[tuple[Regex, Regex, Iterator[str]]] = []
+    # a frame resumes a pair: its events still to take, and the length of
+    # the path that led to it; path[i] is the event taken at depth i
+    frames: list[tuple[Regex, Regex, Iterator[str], int]] = []
     path: list[str] = []
     while True:
         if (u, v) not in visited:
@@ -384,18 +401,25 @@ def included(u: Regex, v: Regex) -> InclusionResult:
                 rest = ()
             else:
                 visited.add((u, v))
-                frames.append((u, v, iter(sorted(first(u)))))
+                starts = first(u)
+                if len(starts) == 1:
+                    (a,) = starts
+                    path.append(a)
+                    u, v = derive(a, u), derive(a, v)
+                    continue
+                if starts:
+                    frames.append((u, v, iter(sorted(starts)), len(path)))
             if rest is not None:
                 return InclusionResult(False, tuple(path) + rest)
         while frames:
-            fu, fv, events = frames[-1]
+            fu, fv, events, depth = frames[-1]
             a = next(events, None)
             if a is not None:
                 break
             frames.pop()
         else:
             return InclusionResult(True)
-        del path[len(frames) - 1:]
+        del path[depth:]
         path.append(a)
         u, v = derive(a, fu), derive(a, fv)
 

@@ -55,9 +55,18 @@ def test_non_utf8_file_exits_two_without_traceback(tmp_path, capsys):
     bad.write_bytes(b"events a;\xff\n")
     code, out, err = run_cli(capsys, str(bad))
     assert code == 2
-    assert err.startswith(f"{bad}: error: ")
+    assert err == f"{bad}: error: 1:10: invalid UTF-8 byte 0xff\n"
     assert "Traceback" not in err
     assert "internal error" not in err
+
+
+def test_non_utf8_byte_is_reported_at_its_line_and_column(tmp_path, capsys):
+    # the column counts characters, so the two-byte é before it counts once
+    bad = tmp_path / "bad.rt"
+    bad.write_bytes(b"events a;\r\n\r\nproc main()\r\n{ _(emit \xc3\xa9\xfe) }\n")
+    code, out, err = run_cli(capsys, str(bad))
+    assert code == 2
+    assert err == f"{bad}: error: 4:11: invalid UTF-8 byte 0xfe\n"
 
 
 def test_resolve_error_exits_two(tmp_path, capsys):

@@ -26,6 +26,7 @@ from retrace.lang import (
     UndeclaredVariable,
     While,
     load,
+    load_file,
     modified_in,
     parse,
     pretty,
@@ -217,6 +218,15 @@ def test_syntax_error_has_position():
     with pytest.raises(ParseError) as exc:
         parse("events a;\nproc q() { emit }")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_source_file_newlines_count_as_in_text_mode(tmp_path, newline):
+    f = tmp_path / "p.rt"
+    f.write_bytes(newline.join(["events a;", "// x", "proc q() { emit }", ""]).encode())
+    with pytest.raises(ParseError) as exc:
+        load_file(str(f))
+    assert (exc.value.line, exc.value.col) == (3, 12)
 
 
 def test_chained_comparison_rejected():

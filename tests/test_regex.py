@@ -130,6 +130,13 @@ def test_first():
     assert rx.first(rx.EPSILON) == frozenset()
 
 
+def test_first_of_concat_with_a_plain_head_is_the_heads_set():
+    # shared, not copied, so a long straight line holds one set per event name
+    tail = rx.concat(b, rx.star(c))
+    for head in (a, rx.concat(rx.choice(a, b), c), rx.plus(b)):
+        assert rx.first(rx.concat(head, tail)) is rx.first(head)
+
+
 def test_first_concat_with_nullable_head():
     r = rx.concat(rx.star(rx.choice(a, b)), c)
     # oracle: heads of all short words of the language

@@ -1,13 +1,17 @@
+import gc
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ReferenceVerifier, enum_member, enum_words
+from retrace import interp, verifier
 from retrace import regex as rx
 from retrace.corpus import CORPUS, MUTANTS, load_corpus
+from retrace.interp import check_triple_random
 from retrace.formula import (
     FALSE,
     TRUE,
@@ -391,6 +395,79 @@ def test_long_straight_line_verifies_without_recursion():
     res = rx.included(failed.lhs_regex, failed.rhs_regex)
     assert sys.getrecursionlimit() == limit
     assert res.witness == mutant
+
+
+def test_straight_line_keeps_little_regex_memory():
+    # each event of the prefix holds one interned node and one table entry,
+    # about 130 bytes; its own first set, tuple intern key and derivative memo
+    # entry would bring it to about 530
+    events = ("mem0", "mem1", "mem2")  # names no other test builds nodes of
+    word = events * 1667 + events[:1]
+    body = "\n".join(f"  _(emit {e})" for e in word)
+    src = (f"events {', '.join(events)};\nproc p()\n  _(trace ({' '.join(events)})*)\n"
+           f"{{\n{body}\n}}\n")
+    program = load(src)
+    only_regex = [tracemalloc.Filter(True, rx.__file__)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_regex)
+        rep = verify_program(program)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(only_regex)
+    finally:
+        tracemalloc.stop()
+    assert not rep.verified
+    held = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert held <= 300 * len(word)
+
+
+# -- the benchmark tracer's hooks ----------------------------------------------
+
+
+def test_tracer_hooks_are_called_and_change_no_report(monkeypatch):
+    # bench/spans.py swaps these six attributes for wrappers of these shapes
+    # (`/`: it passes the arguments on as `*args`); each must still be reached
+    # through the attribute, with these arguments
+    program = load_corpus("even_odd")
+
+    def reports():
+        rep = Verifier(program, BuiltinSolver()).verify_program()
+        oracle = check_triple_random(program, program.entry, 16, 1, 256)
+        return rep.to_dict(), oracle.to_dict()
+
+    expected = reports()
+    calls = dict.fromkeys(
+        ("inclusion_obligations", "finalize_path", "run", "included", "member", "derive"), 0)
+    inclusions, finalize, run = verifier.inclusion_obligations, Verifier.finalize_path, interp.run
+
+    def counted_inclusions(context, left, emitted, right, solver):
+        calls["inclusion_obligations"] += 1
+        return inclusions(context, left, emitted, right, solver)
+
+    def counted_finalize(self, state, proc, entry, obs, /):
+        calls["finalize_path"] += 1
+        return finalize(self, state, proc, entry, obs)
+
+    def counted_run(code, entry, pre, rng, fuel, /):
+        calls["run"] += 1
+        return run(code, entry, pre, rng, fuel)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verifier, "inclusion_obligations", counted_inclusions)
+    monkeypatch.setattr(Verifier, "finalize_path", counted_finalize)
+    monkeypatch.setattr(interp, "run", counted_run)
+    for name in ("included", "member", "derive"):
+        monkeypatch.setattr(rx, name, counted(name, getattr(rx, name)))
+    got = reports()
+    monkeypatch.undo()
+    assert got == expected
+    assert all(calls.values()), calls
+    assert calls["run"] == 16
 
 
 # -- joins at if ---------------------------------------------------------------
