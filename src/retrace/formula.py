@@ -303,21 +303,21 @@ def atoms(f: Formula) -> tuple[Formula, ...]:
     """The distinct boolean-variable and comparison atoms of `f`, in order of
     first occurrence, left to right (an implication's premise first)."""
     seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, (BoolRef, Cmp)):
-            seen.setdefault(g)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, Implies):
-            walk(g.lhs)
-            walk(g.rhs)
-
-    walk(f)
+    _walk_atoms(f, seen)
     return tuple(seen)
+
+
+def _walk_atoms(g: Formula, seen: dict[Formula, None]) -> None:
+    if isinstance(g, (BoolRef, Cmp)):
+        seen.setdefault(g)
+    elif isinstance(g, Not):
+        _walk_atoms(g.arg, seen)
+    elif isinstance(g, (And, Or)):
+        for a in g.args:
+            _walk_atoms(a, seen)
+    elif isinstance(g, Implies):
+        _walk_atoms(g.lhs, seen)
+        _walk_atoms(g.rhs, seen)
 
 
 def atom_vars(a: Formula) -> tuple[Var, ...]:

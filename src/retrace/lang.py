@@ -10,9 +10,7 @@ annotations and `//` starts a line comment.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from itertools import accumulate
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from . import regex as rx
 from .formula import (
@@ -256,48 +254,55 @@ _SYMBOLS = [
 # name keeps its prime, so the text alone tells keywords and symbols from any
 # other token.  Integers are Unicode decimal digits, which int() accepts; `\w`
 # also matches other digits, such as '²', and a word that starts with one is
-# an unexpected character.  A comment on the last line belongs to `eof`, which
-# sits where that line's code ends.  An unexpected character takes the rest of
-# the input, so it is always the last token before an empty `eof`.
+# an unexpected character.  `eof` is an empty group where the code of the last
+# line ends, before the comment its match may hold.  An unexpected character
+# takes the rest of the input, so it is always the last token before `eof`.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*(?=\n))*"
     r"(?:(?P<int>\d+)"
     r"|(?P<sym>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")"
     r"|(?P<pident>\w+')"
     r"|(?P<ident>\w+)"
-    r"|(?P<eof>(?://[^\n]*)?\Z)"
+    r"|(?P<eof>)(?://[^\n]*)?\Z"
     r"|(?P<bad>(?s:.+)))"
 )
 
-_Tok = tuple[str, str, int]  # kind, text, character offset
+
+class _Lines:
+    """The 1-based line and column of character offsets of `src`.  It counts
+    newlines on from the offset asked before, so offsets asked in increasing
+    order read the source once; an earlier offset counts from the start."""
+
+    __slots__ = ("src", "off", "line", "start")
+
+    def __init__(self, src: str) -> None:
+        self.src = src
+        self.off, self.line, self.start = 0, 1, 0  # the offset asked before, its line, where that starts
+
+    def at(self, off: int) -> Span:
+        if off < self.off:
+            self.off, self.line, self.start = 0, 1, 0
+        if newlines := self.src.count("\n", self.off, off):
+            self.line += newlines
+            self.start = self.src.rfind("\n", self.off, off) + 1
+        self.off = off
+        return Span(self.line, off - self.start + 1)
 
 
-def _spans(src: str) -> Callable[[int], Span]:
-    """Maps a character offset of `src` to its 1-based line and column, by
-    bisecting the offsets at which lines start."""
-    starts = list(accumulate(map((1).__add__, map(len, src.split("\n"))), initial=0))
+def _unexpected(src: str) -> Optional[ParseError]:
+    """The error for the first character of `src` that starts no token: the
+    one the other kinds leave to `bad`, or a word's first character when it
+    is not a letter or `_`."""
+    for m in _TOKEN.finditer(src):
+        kind, off = m.lastgroup, m.start(m.lastindex)  # type: ignore[arg-type]
+        if kind == "bad" or (kind in ("ident", "pident") and not _is_name(src[off])):
+            return ParseError(f"unexpected character {src[off]!r}", *_at(_Lines(src).at(off)))
+    return None
 
-    def span(off: int) -> Span:
-        line = bisect_right(starts, off)
-        return Span(line, off - starts[line - 1] + 1)
 
-    return span
-
-
-def _lex(src: str) -> list[_Tok]:
-    """`(kind, text, offset)` for each token of `src`, the last one `eof`."""
-    toks = [(k := m.lastgroup, m[k], m.start(k)) for m in _TOKEN.finditer(src)]
-    last = toks.pop()
-    if toks and toks[-1][0] in ("eof", "bad"):
-        last = toks.pop()  # followed by an empty match at the end of the input
-    bad = last if last[0] == "bad" else None
-    if not src.isascii():  # only then can a word start with a digit
-        words = (t for t in toks if t[0] in ("ident", "pident"))
-        bad = next((t for t in words if not (t[1][0].isalpha() or t[1][0] == "_")), bad)
-    if bad:
-        raise ParseError(f"unexpected character {bad[1][0]!r}", *_at(_spans(src)(bad[2])))
-    toks.append(("eof", "", last[2]))  # without the comment its match may hold
-    return toks
+def _is_name(word: str) -> bool:
+    """Whether a word token starts with a letter or `_`, as a name does."""
+    return word[0].isalpha() or word[0] == "_"
 
 
 class Token(NamedTuple):
@@ -308,15 +313,20 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str) -> list[Token]:
-    """The tokens of `src` with their positions; a primed name's text is
-    the name without its prime."""
-    span = _spans(src)
-    return [Token(t[0], _word(t), *_at(span(t[2]))) for t in _lex(src)]
+    """The tokens of `src`, as the parser reads them, with their positions;
+    a primed name's text is the name without its prime."""
+    if error := _unexpected(src):
+        raise error
+    p, toks = _Parser(src), []
+    while not toks or toks[-1].kind != "eof":
+        toks.append(Token(p.kind, _word(p.text), *_at(p.where(p.m))))
+        p.advance()
+    return toks
 
 
-def _word(t: _Tok) -> str:
+def _word(text: str) -> str:
     """A token's text as messages show it: a name without its prime."""
-    return t[1].rstrip("'")
+    return text.rstrip("'")
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +343,19 @@ _RUNS = {"&&": ("&&",), "||": ("||",), "+": ("+", "-"), "-": ("+", "-")}
 
 
 class _Parser:
-    """Recursive descent over `(kind, text, offset)` tokens; a position is
-    computed from the offset only for a span or an error."""
+    """Recursive descent over the `_TOKEN` matches, read as the parser moves:
+    it sees the current token, as its match `m`, `kind` and `text`, and the
+    next one's match `m1`.  A token kept for a later error is kept as its
+    match, whose position is computed only for a span or an error.  A word
+    that starts with neither a letter nor `_` is an unexpected character,
+    which `parse` reports; `ident` and `parse_simple`, the rules that take a
+    name without looking it up, reject it, so none is ever accepted."""
 
     def __init__(self, src: str, source: str = "<input>") -> None:
-        self.toks = _lex(src)
-        self.span = _spans(src)
-        self.pos = 0
+        self.matches = _TOKEN.finditer(src)
+        self.lines = _Lines(src)
+        self.m1 = next(self.matches)
+        self.advance()
         self.source = source
         self.events: dict[str, None] = {}  # in declaration order
         self.consts: dict[str, int] = {}
@@ -350,55 +366,72 @@ class _Parser:
 
     # token plumbing
 
-    def error(self, msg: str, t: _Tok, cls: type[SourceError] = ParseError) -> SourceError:
-        return cls(msg, *_at(self.span(t[2])))
+    def advance(self) -> None:
+        """Make the next token current and read the one after it; past the
+        end, the `eof` token stays in view."""
+        self.m = m = self.m1
+        self.kind = kind = m.lastgroup
+        self.text = m[kind]
+        self.m1 = next(self.matches, m)
+
+    def peek(self) -> str:
+        """The next token's text."""
+        m = self.m1
+        return m[m.lastindex]
+
+    def where(self, m: re.Match) -> Span:
+        return self.lines.at(m.start(m.lastindex))  # type: ignore[arg-type]
+
+    def error(self, msg: str, m: re.Match, cls: type[SourceError] = ParseError) -> SourceError:
+        return cls(msg, *_at(self.where(m)))
+
+    def unexpected(self, what: str) -> SourceError:
+        return self.error(f"expected {what}, found {_word(self.text)!r}", self.m)
 
     def accept(self, text: str) -> bool:
-        if self.toks[self.pos][1] == text:
-            self.pos += 1
+        if self.text == text:
+            self.advance()
             return True
         return False
 
-    def expect(self, text: str) -> _Tok:
-        t = self.toks[self.pos]
-        if t[1] != text:
-            raise self.error(f"expected {text!r}, found {_word(t)!r}", t)
-        self.pos += 1
-        return t
+    def expect(self, text: str) -> None:
+        if self.text != text:
+            raise self.unexpected(repr(text))
+        self.advance()
 
-    def ident(self, what: str = "identifier") -> _Tok:
-        t = self.toks[self.pos]
-        if t[0] != "ident" or t[1] in KEYWORDS:
-            raise self.error(f"expected {what}, found {_word(t)!r}", t)
-        self.pos += 1
-        return t
+    def ident(self, what: str = "identifier") -> str:
+        name = self.text
+        if self.kind != "ident" or name in KEYWORDS or not _is_name(name):
+            raise self.unexpected(what)
+        self.advance()
+        return name
 
     def event(self) -> str:
-        t = self.toks[self.pos]
-        if t[1] not in self.events:  # declared events are names, so only a name can be one
+        name = self.text
+        if name not in self.events:  # declared events are names, so only a name can be one
+            m = self.m
             self.ident("event name")
-            raise self.error(f"event {t[1]!r} not declared", t, UndeclaredEvent)
-        self.pos += 1
-        return t[1]
+            raise self.error(f"event {name!r} not declared", m, UndeclaredEvent)
+        self.advance()
+        return name
 
     def clause(self, keywords: tuple[str, ...]) -> Optional[str]:
         """The keyword of an annotation `_(kw ...` with `kw` in `keywords`,
         consumed with its `_(`, or None."""
-        toks, pos = self.toks, self.pos
-        kw = toks[pos + 1][1] if toks[pos][1] == "_(" else None
+        kw = self.peek() if self.text == "_(" else None
         if kw not in keywords:
             return None
-        self.pos = pos + 2
+        self.advance()
+        self.advance()
         return kw
 
     # declarations
 
     def parse_program(self) -> Program:
-        toks = self.toks
-        while (t := toks[self.pos])[0] != "eof":
-            rule = self.DECLARATIONS.get(t[1])
+        while self.kind != "eof":
+            rule = self.DECLARATIONS.get(self.text)
             if rule is None:
-                raise self.error(f"expected a declaration, found {_word(t)!r}", t)
+                raise self.unexpected("a declaration")
             rule(self)
         return Program(
             events=tuple(self.events),
@@ -408,63 +441,61 @@ class _Parser:
             source=self.source,
         )
 
-    def _check_fresh(self, t: _Tok) -> None:
-        name = t[1]
+    def fresh(self, what: str) -> tuple[str, re.Match]:
+        """A name, read by `ident`, that names nothing declared yet, and its match."""
+        m = self.m
+        name = self.ident(what)
         if (
             name in self.events
             or name in self.consts
             or name in self.globals
             or name in self.procs
         ):
-            raise self.error(f"name {name!r} already declared", t, DuplicateName)
+            raise self.error(f"name {name!r} already declared", m, DuplicateName)
+        return name, m
 
     def parse_events(self) -> None:
-        self.pos += 1
+        self.advance()
         while True:
-            t = self.ident("event name")
-            self._check_fresh(t)
-            self.events[t[1]] = None
+            self.events[self.fresh("event name")[0]] = None
             if not self.accept(","):
                 break
         self.expect(";")
 
     def parse_const(self) -> None:
-        self.pos += 1
-        t = self.ident("constant name")
-        self._check_fresh(t)
+        self.advance()
+        name, _ = self.fresh("constant name")
         self.expect("=")
         negate = self.accept("-")
-        num = self.toks[self.pos]
-        if num[0] != "int":
-            raise self.error("constant initializer must be an integer literal", num)
-        self.pos += 1
+        if self.kind != "int":
+            raise self.error("constant initializer must be an integer literal", self.m)
+        value = int(self.text)
+        self.advance()
         self.expect(";")
-        self.consts[t[1]] = -int(num[1]) if negate else int(num[1])
+        self.consts[name] = -value if negate else value
 
     def parse_global(self) -> None:
-        ty = self.toks[self.pos][1]
-        self.pos += 1
-        t = self.ident("variable name")
-        self._check_fresh(t)
+        ty = self.text
+        self.advance()
+        name, m = self.fresh("variable name")
         init: Optional[Union[bool, int]] = None
         if self.accept("="):
             val = self.parse_expression()
             if _type(val) != ty:
-                raise self.error(f"initializer for {ty} variable {t[1]!r} has type {_type(val)}", t, TypeMismatch)
+                raise self.error(f"initializer for {ty} variable {name!r} has type {_type(val)}", m, TypeMismatch)
             if isinstance(val, Term) and val.is_const():
                 init = val.const
             elif isinstance(val, BoolLit):
                 init = val.value
             else:
-                raise self.error("global initializer must be constant", t)
+                raise self.error("global initializer must be constant", m)
         self.expect(";")
-        self.globals[t[1]] = GlobalVar(t[1], ty, init)
+        self.globals[name] = GlobalVar(name, ty, init)
 
     def parse_proc(self) -> None:
-        sp = self.span(self.toks[self.pos][2])
-        self.pos += 1
-        t = self.ident("procedure name")
-        self._check_fresh(t)
+        sp = self.where(self.m)
+        self.advance()
+        name, _ = self.fresh("procedure name")
         self.expect("(")
         self.expect(")")
         self.cur_locals = {}
@@ -482,17 +513,17 @@ class _Parser:
                 finally:
                     self.allow_primed = False
             elif kw == "modifies":
-                modifies.append(self.ident("variable name")[1])
+                modifies.append(self.ident("variable name"))
                 while self.accept(","):
-                    modifies.append(self.ident("variable name")[1])
+                    modifies.append(self.ident("variable name"))
             else:
-                if (t2 := self.toks[self.pos])[1] == "local":
-                    raise self.error("'local' trace annotations belong on loops", t2)
+                if self.text == "local":
+                    raise self.error("'local' trace annotations belong on loops", self.m)
                 options.append(self.parse_trace_option())
             self.expect(")")
         body = None if self.accept(";") else self.parse_block()
-        self.procs[t[1]] = Procedure(
-            t[1], requires=conj(*requires), ensures=conj(*ensures),
+        self.procs[name] = Procedure(
+            name, requires=conj(*requires), ensures=conj(*ensures),
             trace=TraceSpec(tuple(options)), modifies=tuple(modifies),
             locals=dict(self.cur_locals), body=body, span=sp,
         )
@@ -501,75 +532,74 @@ class _Parser:
 
     def parse_block(self) -> Seq:
         self.expect("{")
-        toks, rules = self.toks, self.STATEMENTS
+        rules = self.STATEMENTS
         stmts: list[Command] = []
-        while (t := toks[self.pos])[1] != "}":
-            if t[0] == "eof":
-                raise self.error("unterminated block", t)
-            s = rules.get(t[1], _Parser.parse_simple)(self)
+        while (text := self.text) != "}":
+            if self.kind == "eof":
+                raise self.error("unterminated block", self.m)
+            s = rules.get(text, _Parser.parse_simple)(self)
             if s is not None:
                 stmts.append(s)
-        self.pos += 1
+        self.advance()
         return Seq(tuple(stmts))
 
     def parse_simple(self) -> Command:
         """`x = e;`, `x = nondet();` or `p();`."""
-        toks, pos = self.toks, self.pos
-        t = toks[pos]
-        if t[0] != "ident" or t[1] in KEYWORDS:
-            raise self.error(f"expected a statement, found {_word(t)!r}", t)
-        sp = self.span(t[2])
-        if toks[pos + 1][1] == "(":
-            self.pos = pos + 2
+        m, name = self.m, self.text
+        if self.kind != "ident" or name in KEYWORDS or not _is_name(name):
+            raise self.unexpected("a statement")
+        sp = self.where(m)
+        if self.peek() == "(":
+            self.advance()
+            self.advance()
             self.expect(")")
             self.expect(";")
-            return Call(t[1], span=sp)
-        self.pos = pos + 1
+            return Call(name, span=sp)
+        self.advance()
         self.expect("=")
-        stmt = self.parse_assign_rhs(t, sp)
+        stmt = self.parse_assign_rhs(name, m, sp)
         self.expect(";")
         return stmt
 
     def parse_emit(self) -> Emit:
-        toks, pos = self.toks, self.pos
-        kw = toks[pos + 1]
-        if kw[1] != "emit":
-            raise self.error(f"unexpected annotation {_word(kw)!r} in statement position", kw)
-        self.pos = pos + 2
+        m = self.m
+        if (kw := self.peek()) != "emit":
+            raise self.error(f"unexpected annotation {_word(kw)!r} in statement position", self.m1)
+        self.advance()
+        self.advance()
         ev = self.event()
         self.expect(")")
-        return Emit(ev, self.span(toks[pos][2]))
+        return Emit(ev, self.where(m))
 
     def parse_local_decl(self) -> Optional[Command]:
-        ty = self.toks[self.pos][1]
-        self.pos += 1
-        t = self.ident("variable name")
-        if t[1] in self.cur_locals or t[1] in self.globals:
-            raise self.error(f"variable {t[1]!r} already declared", t, DuplicateName)
-        self._check_fresh(t)
-        self.cur_locals[t[1]] = ty
-        stmt = self.parse_assign_rhs(t, self.span(t[2])) if self.accept("=") else None
+        ty = self.text
+        self.advance()
+        if self.text in self.cur_locals or self.text in self.globals:  # only names are declared
+            raise self.error(f"variable {self.text!r} already declared", self.m, DuplicateName)
+        name, m = self.fresh("variable name")
+        self.cur_locals[name] = ty
+        stmt = self.parse_assign_rhs(name, m, self.where(m)) if self.accept("=") else None
         self.expect(";")
         return stmt
 
-    def parse_assign_rhs(self, name: _Tok, sp: Span) -> Command:
-        ty = self._var_type(name[1], name)
+    def parse_assign_rhs(self, name: str, m: re.Match, sp: Span) -> Command:
+        ty = self._var_type(name, m)
         if self.accept("nondet"):
             self.expect("(")
             self.expect(")")
-            return Havoc(name[1], span=sp)
+            return Havoc(name, span=sp)
         val = self.parse_expression()
         if _type(val) != ty:
             raise self.error(
-                f"cannot assign {_type(val)} expression to {ty} variable {name[1]!r}",
-                name,
+                f"cannot assign {_type(val)} expression to {ty} variable {name!r}",
+                m,
                 TypeMismatch,
             )
-        return Assign(name[1], val, span=sp)
+        return Assign(name, val, span=sp)
 
     def parse_if(self) -> If:
-        sp = self.span(self.toks[self.pos][2])
-        self.pos += 1
+        sp = self.where(self.m)
+        self.advance()
         test = self._test()
         then = self._branch()
         return If(test, then, self._branch() if self.accept("else") else Seq(()), span=sp)
@@ -581,14 +611,14 @@ class _Parser:
         return test
 
     def _branch(self) -> Command:
-        s = self.STATEMENTS.get(self.toks[self.pos][1], _Parser.parse_simple)(self)
+        s = self.STATEMENTS.get(self.text, _Parser.parse_simple)(self)
         if isinstance(s, Seq):
             return s
         return Seq(() if s is None else (s,))
 
     def parse_while(self) -> While:
-        sp = self.span(self.toks[self.pos][2])
-        self.pos += 1
+        sp = self.where(self.m)
+        self.advance()
         test = self._test()
         invariants: list[Formula] = []
         options: list[TraceOption] = []
@@ -599,11 +629,10 @@ class _Parser:
             else:
                 is_local = self.accept("local")
                 option = self.parse_trace_option(is_local)
-                t = self.toks[self.pos]
                 if options and local_flag != is_local:
-                    raise self.error("cannot mix local and full-history trace annotations", t)
+                    raise self.error("cannot mix local and full-history trace annotations", self.m)
                 if options and is_local:
-                    raise self.error("at most one 'local' trace annotation per loop", t)
+                    raise self.error("at most one 'local' trace annotation per loop", self.m)
                 local_flag = is_local
                 options.append(option)
             self.expect(")")
@@ -623,7 +652,7 @@ class _Parser:
         if not self.accept("if"):
             return TraceOption(r, TRUE)
         if local:
-            raise self.error("'local' trace annotations take no guard", self.toks[self.pos])
+            raise self.error("'local' trace annotations take no guard", self.m)
         return TraceOption(r, self.parse_formula())
 
     # regular expressions
@@ -636,7 +665,7 @@ class _Parser:
 
     def _re_cat(self) -> rx.Regex:
         parts = [self._re_rep()]
-        while (t := self.toks[self.pos])[1] == "(" or (t[0] == "ident" and t[1] not in KEYWORDS):
+        while self.text == "(" or (self.kind == "ident" and self.text not in KEYWORDS):
             parts.append(self._re_rep())
         return rx.concat(*parts)
 
@@ -651,8 +680,7 @@ class _Parser:
                 return r
 
     def _re_atom(self) -> rx.Regex:
-        t = self.toks[self.pos]
-        if t[0] == "ident" and t[1] not in KEYWORDS:
+        if self.kind == "ident" and self.text not in KEYWORDS:
             return rx.symbol(self.event())
         if self.accept("("):
             if self.accept(")"):
@@ -660,94 +688,94 @@ class _Parser:
             r = self.parse_regex()
             self.expect(")")
             return r
-        raise self.error(f"expected a regular expression, found {_word(t)!r}", t)
+        raise self.unexpected("a regular expression")
 
     # expressions and formulas
 
     def parse_formula(self) -> Formula:
-        t = self.toks[self.pos]
-        return self._as_bool(self.parse_expression(), t, "expression")
+        m = self.m
+        return self._as_bool(self.parse_expression(), m, "expression")
 
     def parse_expression(self, min_bp: int = 0) -> Union[Term, Formula]:
         """Precedence climbing over `_BINDING`.  `&&`, `||`, `+` and `-` check
         their left operand at the operator before parsing the right one; the
         other operators check both operands after it."""
-        toks = self.toks
         lhs = self._unary()
-        while (bp := _BINDING.get((t := toks[self.pos])[1], -1)) >= min_bp:
-            self.pos += 1
+        while (bp := _BINDING.get(op := self.text, -1)) >= min_bp:
+            m = self.m
+            self.advance()
             check = self._as_bool if bp < 3 else self._as_int
-            if t[1] in _RUNS:
-                check(lhs, t)
-            rhs = self.parse_expression(bp if t[1] == "==>" else bp + 1)
-            args = [check(lhs, t), _signed(t, check(rhs, t))]
-            while (u := toks[self.pos])[1] in _RUNS.get(t[1], ()):  # one node per run
-                self.pos += 1
-                args.append(_signed(u, check(self.parse_expression(bp + 1), u)))
-            lhs = self._binary(t, *args)
-            if bp == 3 and (t2 := toks[self.pos])[1] in _COMPARISONS:
-                raise self.error("comparisons cannot be chained", t2)
+            if op in _RUNS:
+                check(lhs, m)
+            rhs = self.parse_expression(bp if op == "==>" else bp + 1)
+            args = [check(lhs, m), _signed(op, check(rhs, m))]
+            while (more := self.text) in _RUNS.get(op, ()):  # one node per run
+                mu = self.m
+                self.advance()
+                args.append(_signed(more, check(self.parse_expression(bp + 1), mu)))
+            lhs = self._binary(op, m, *args)
+            if bp == 3 and self.text in _COMPARISONS:
+                raise self.error("comparisons cannot be chained", self.m)
         return lhs
 
     def _unary(self) -> Union[Term, Formula]:
-        t = self.toks[self.pos]
+        m = self.m
         if self.accept("!"):
-            return neg(self._as_bool(self._unary(), t))
+            return neg(self._as_bool(self._unary(), m))
         if self.accept("-"):
-            return -self._as_int(self._unary(), t)
+            return -self._as_int(self._unary(), m)
         return self._primary()
 
     def _primary(self) -> Union[Term, Formula]:
-        t = kind, text, _ = self.toks[self.pos]
+        m, kind, text = self.m, self.kind, self.text
         if kind == "int":
-            self.pos += 1
+            self.advance()
             return tconst(int(text))
         if self.accept("true"):
             return TRUE
         if self.accept("false"):
             return FALSE
         if text == "nondet":
-            raise self.error("nondet() is only allowed as the right-hand side of an assignment", t)
+            raise self.error("nondet() is only allowed as the right-hand side of an assignment", m)
         if self.accept("("):
             inner = self.parse_expression()
             self.expect(")")
             return inner
         if kind in ("ident", "pident"):
             if kind == "ident" and text in KEYWORDS:
-                raise self.error(f"unexpected keyword {text!r}", t)
-            self.pos += 1
+                raise self.error(f"unexpected keyword {text!r}", m)
+            self.advance()
             primed = kind == "pident"
-            name = _word(t)
+            name = _word(text)
             if primed and not self.allow_primed:
-                raise self.error("primed variables are only allowed in ensures clauses", t)
+                raise self.error("primed variables are only allowed in ensures clauses", m)
             if not primed and name in self.consts:
                 return tconst(self.consts[name])
-            if self._var_type(name, t) == "bool":
+            if self._var_type(name, m) == "bool":
                 return BoolRef(Var(name, primed))
             return tvar(name, primed)
-        raise self.error(f"expected an expression, found {_word(t)!r}", t)
+        raise self.unexpected("an expression")
 
-    def _var_type(self, name: str, t: _Tok) -> str:
+    def _var_type(self, name: str, m: re.Match) -> str:
         ty = self.cur_locals.get(name)
         if ty is None and name in self.globals:
             ty = self.globals[name].type
         if ty is None:
-            raise self.error(f"variable {name!r} not declared", t, UndeclaredVariable)
+            raise self.error(f"variable {name!r} not declared", m, UndeclaredVariable)
         return ty
 
-    def _as_bool(self, e: Union[Term, Formula], t: _Tok, what: str = "operand") -> Formula:
+    def _as_bool(self, e: Union[Term, Formula], m: re.Match, what: str = "operand") -> Formula:
         if not isinstance(e, Formula):
-            raise self.error(f"expected a boolean {what}", t, TypeMismatch)
+            raise self.error(f"expected a boolean {what}", m, TypeMismatch)
         return e
 
-    def _as_int(self, e: Union[Term, Formula], t: _Tok) -> Term:
+    def _as_int(self, e: Union[Term, Formula], m: re.Match) -> Term:
         if not isinstance(e, Term):
-            raise self.error("expected an integer operand", t, TypeMismatch)
+            raise self.error("expected an integer operand", m, TypeMismatch)
         return e
 
-    def _binary(self, t: _Tok, a: Any, b: Any, *more: Any) -> Union[Term, Formula]:
-        """`a op b` for the operator token `t`, on operands of the checked type."""
-        op = t[1]
+    def _binary(self, op: str, m: re.Match, a: Any, b: Any, *more: Any) -> Union[Term, Formula]:
+        """`a op b` for the operator `op` at match `m`, on operands of the checked type."""
         if op == "==>":
             return implies(a, b)
         if op in ("||", "&&"):
@@ -759,7 +787,7 @@ class _Parser:
                 return b.scaled(a.const)
             if b.is_const():
                 return a.scaled(b.const)
-            raise self.error("only linear terms are supported", t)
+            raise self.error("only linear terms are supported", m)
         if op in (">", ">="):  # a > b is b < a
             op, a, b = op.replace(">", "<"), b, a
         return cmp(op, a, b)
@@ -774,9 +802,9 @@ class _Parser:
     }
 
 
-def _signed(t: _Tok, e: Any) -> Any:
-    """An operand of `t` with the sign it adds under: negated after `-`."""
-    return -e if t[1] == "-" else e
+def _signed(op: str, e: Any) -> Any:
+    """An operand of `op` with the sign it adds under: negated after `-`."""
+    return -e if op == "-" else e
 
 
 def _type(e: Union[Term, Formula]) -> str:
@@ -784,8 +812,13 @@ def _type(e: Union[Term, Formula]) -> str:
 
 
 def parse(src: str, source: str = "<input>") -> Program:
-    """Parse a program; raises SourceError subclasses with positions."""
-    return _Parser(src, source).parse_program()
+    """Parse a program; raises SourceError subclasses with positions.  As
+    when the whole source was lexed first, a character that starts no token
+    is the error reported, wherever parsing stopped."""
+    try:
+        return _Parser(src, source).parse_program()
+    except (SourceError, RecursionError) as exc:
+        raise _unexpected(src) or exc
 
 
 # ---------------------------------------------------------------------------
@@ -906,9 +939,8 @@ class _Resolver:
         for gv in p.variables.values():
             if isinstance(gv.init, int) and not isinstance(gv.init, bool):
                 self.ints.add(gv.init)
-        for proc in p.procedures.values():
-            self.check_proc(proc)
-        self.compute_mod_sets()
+        writes = {name: self.check_proc(proc) for name, proc in p.procedures.items()}
+        self.compute_mod_sets(writes)
         lo = min(self.ints, default=0)
         hi = max(self.ints, default=0)
         p.int_domain = (min(-8, lo - 4), max(8, hi + 4))
@@ -923,7 +955,9 @@ class _Resolver:
                 p.entry = bodied[0]
         return p
 
-    def check_proc(self, proc: Procedure) -> None:
+    def check_proc(self, proc: Procedure) -> tuple[set[str], set[str]]:
+        """Check `proc`; the variables it writes, declared or assigned, and
+        the procedures it calls."""
         p = self.p
         for name, ty in list(proc.locals.items()):
             if ty not in ("bool", "int"):
@@ -934,8 +968,10 @@ class _Resolver:
         for m in proc.modifies:
             if p.var_type(m, proc) is None:
                 raise UndeclaredVariable(f"modifies lists unknown variable {m!r}", *_at(proc.span))
+        mods, callees = set(proc.modifies), set()
         if proc.body is not None:
-            self.check_cmd(proc.body, proc)
+            self.check_cmd(proc.body, proc, mods, callees)
+        return mods, callees
 
     def check_spec(self, spec: TraceSpec, proc: Procedure, primed_ok: bool) -> None:
         for o in spec.options:
@@ -960,11 +996,14 @@ class _Resolver:
             if kinds[v] != ty:
                 raise TypeMismatch(f"variable {v} used as {kinds[v]}, declared {ty}", *_at(proc.span))
 
-    def check_cmd(self, c: Command, proc: Procedure) -> None:
+    def check_cmd(self, c: Command, proc: Procedure, mods: set[str], callees: set[str]) -> None:
+        """Check `c`, adding the variables it assigns to `mods` and the
+        procedures it calls to `callees`."""
         p = self.p
+        _writes(c, mods, callees)
         if isinstance(c, Seq):
             for s in c.stmts:
-                self.check_cmd(s, proc)
+                self.check_cmd(s, proc, mods, callees)
         elif isinstance(c, Emit):
             if c.event not in p.events:
                 raise UndeclaredEvent(f"event {c.event!r} not declared", *_at(c.span))
@@ -988,8 +1027,8 @@ class _Resolver:
                 raise UndeclaredVariable(f"variable {c.var!r} not declared", *_at(c.span))
         elif isinstance(c, If):
             self.check_formula(c.test, proc, primed_ok=False)
-            self.check_cmd(c.then, proc)
-            self.check_cmd(c.orelse, proc)
+            self.check_cmd(c.then, proc, mods, callees)
+            self.check_cmd(c.orelse, proc, mods, callees)
         elif isinstance(c, While):
             self.check_formula(c.test, proc, primed_ok=False)
             self.check_formula(c.invariant, proc, primed_ok=False)
@@ -999,7 +1038,7 @@ class _Resolver:
                 or (c.trace_inv.options and c.trace_inv.options[0].guard != TRUE)
             ):
                 raise TypeMismatch("a 'local' loop takes a single unguarded trace", *_at(c.span))
-            self.check_cmd(c.body, proc)
+            self.check_cmd(c.body, proc, mods, callees)
         elif isinstance(c, Call):
             if c.proc not in p.procedures:
                 raise UnboundName(f"call to undeclared procedure {c.proc!r}", *_at(c.span))
@@ -1015,22 +1054,16 @@ class _Resolver:
         else:
             raise TypeMismatch(f"unknown command {c!r}")
 
-    def compute_mod_sets(self) -> None:
+    def compute_mod_sets(self, writes: dict[str, tuple[set[str], set[str]]]) -> None:
+        """Each procedure's mod set: the globals it writes, or a procedure it
+        calls, directly or not, writes; `writes` is `check_proc`'s."""
         p = self.p
-        base: dict[str, set[str]] = {}
-        calls: dict[str, set[str]] = {}
-        for name, proc in p.procedures.items():
-            mods: set[str] = set(proc.modifies)
-            callees: set[str] = set()
-            if proc.body is not None:
-                _assigned(proc.body, mods, callees)
-            base[name] = {m for m in mods if m in p.variables}
-            calls[name] = callees
+        base = {name: {m for m in mods if m in p.variables} for name, (mods, _) in writes.items()}
         changed = True
         while changed:
             changed = False
-            for name in p.procedures:
-                for callee in calls[name]:
+            for name, (_, callees) in writes.items():
+                for callee in callees:
                     extra = base.get(callee, set()) - base[name]
                     if extra:
                         base[name] |= extra
@@ -1043,21 +1076,28 @@ def _at(span: Optional[Span]) -> tuple[Optional[int], Optional[int]]:
     return (span.line, span.col) if span else (None, None)
 
 
+def _writes(c: Command, mods: set[str], callees: set[str]) -> None:
+    """Add the variables `c` itself writes, not counting the commands it
+    holds, to `mods`, and the procedure it calls to `callees`."""
+    if isinstance(c, (Assign, Havoc)):
+        mods.add(c.var)
+    elif isinstance(c, Call):
+        callees.add(c.proc)
+    elif isinstance(c, SpecStmt):
+        mods.update(c.mods)
+
+
 def _assigned(c: Command, mods: set[str], callees: set[str]) -> None:
     if isinstance(c, Seq):
         for s in c.stmts:
             _assigned(s, mods, callees)
-    elif isinstance(c, (Assign, Havoc)):
-        mods.add(c.var)
     elif isinstance(c, If):
         _assigned(c.then, mods, callees)
         _assigned(c.orelse, mods, callees)
     elif isinstance(c, While):
         _assigned(c.body, mods, callees)
-    elif isinstance(c, Call):
-        callees.add(c.proc)
-    elif isinstance(c, SpecStmt):
-        mods.update(c.mods)
+    else:
+        _writes(c, mods, callees)
 
 
 def modified_in(c: Command, p: Program) -> set[str]:
@@ -1096,6 +1136,6 @@ def load_file(path: str) -> Program:
         src = _text(data)
     except UnicodeDecodeError as exc:
         head = _text(data[: exc.start])
-        where = _at(_spans(head)(len(head)))
+        where = _at(_Lines(head).at(len(head)))
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", *where) from None
     return load(src, path)

@@ -386,13 +386,17 @@ def included(u: Regex, v: Regex) -> InclusionResult:
     failure the witness is the word that leads to the failing pair, followed
     by a shortest word left over there.
     """
-    visited: set[tuple[Regex, Regex]] = set()
+    # the pairs visited: the first right side met with each left side, then the
+    # other pairs; a straight line's pairs then cost no tuple each
+    firsts: dict[Regex, Regex] = {}
+    more: set[tuple[Regex, Regex]] = set()
     # a frame resumes a pair: its events still to take, and the length of
     # the path that led to it; path[i] is the event taken at depth i
     frames: list[tuple[Regex, Regex, Iterator[str], int]] = []
     path: list[str] = []
     while True:
-        if (u, v) not in visited:
+        w = firsts.get(u)
+        if w is not v and (w is None or (u, v) not in more):
             rest: Optional[Word] = None
             if v is EMPTY:
                 if u is not EMPTY:
@@ -400,7 +404,10 @@ def included(u: Regex, v: Regex) -> InclusionResult:
             elif u._nullable and not v._nullable:
                 rest = ()
             else:
-                visited.add((u, v))
+                if w is None:
+                    firsts[u] = v
+                else:
+                    more.add((u, v))
                 starts = first(u)
                 if len(starts) == 1:
                     (a,) = starts

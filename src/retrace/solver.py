@@ -249,50 +249,50 @@ def _search_linear(cons: Cons, steps: _Steps) -> tuple[str, Optional[dict[_Key, 
     stages = _project(cons, steps)
     if stages is None:
         return "unsat", None
-
-    incomplete = False
-
-    def assign(i: int, model: dict[_Key, int]) -> Optional[dict[_Key, int]]:
-        nonlocal incomplete
-        if i < 0:
-            return model
-        x, cons_i = stages[i]
-        b = _bounds_for(x, cons_i, model)
-        if b is None:
-            return None
-        lo, hi = b
-        if lo is not None and hi is not None:
-            if lo > hi:
-                return None
-            if hi - lo + 1 > _WIDE_INTERVAL:
-                incomplete = True
-                candidates: Iterable[int] = list(range(lo, lo + _UNBOUNDED_WINDOW)) + list(
-                    range(hi - _UNBOUNDED_WINDOW + 1, hi + 1)
-                )
-            else:
-                candidates = range(lo, hi + 1)
-        elif lo is not None:
-            incomplete = True
-            candidates = range(lo, lo + _UNBOUNDED_WINDOW)
-        elif hi is not None:
-            incomplete = True
-            candidates = range(hi - _UNBOUNDED_WINDOW + 1, hi + 1)
-        else:
-            incomplete = True
-            candidates = range(-_UNBOUNDED_WINDOW // 2, _UNBOUNDED_WINDOW // 2 + 1)
-        for val in candidates:
-            steps.spend(1)
-            model[x] = val
-            got = assign(i - 1, model)
-            if got is not None:
-                return got
-            del model[x]
-        return None
-
-    model = assign(len(stages) - 1, {})
+    model, incomplete = _assign(stages, len(stages) - 1, {}, steps)
     if model is not None:
         return "sat", model
     return ("unknown", None) if incomplete else ("unsat", None)
+
+
+def _assign(stages: list[tuple[_Key, Cons]], i: int, model: dict[_Key, int],
+            steps: _Steps) -> tuple[Optional[dict[_Key, int]], bool]:
+    """`model` extended to the variables of stages i down to 0, trying each
+    variable's candidates in order, or None; and whether some interval on
+    the way was only probed in a window."""
+    if i < 0:
+        return model, False
+    x, cons_i = stages[i]
+    b = _bounds_for(x, cons_i, model)
+    if b is None:
+        return None, False
+    lo, hi = b
+    incomplete = True
+    if lo is not None and hi is not None:
+        if lo > hi:
+            return None, False
+        if hi - lo + 1 > _WIDE_INTERVAL:
+            candidates: Iterable[int] = list(range(lo, lo + _UNBOUNDED_WINDOW)) + list(
+                range(hi - _UNBOUNDED_WINDOW + 1, hi + 1)
+            )
+        else:
+            incomplete = False
+            candidates = range(lo, hi + 1)
+    elif lo is not None:
+        candidates = range(lo, lo + _UNBOUNDED_WINDOW)
+    elif hi is not None:
+        candidates = range(hi - _UNBOUNDED_WINDOW + 1, hi + 1)
+    else:
+        candidates = range(-_UNBOUNDED_WINDOW // 2, _UNBOUNDED_WINDOW // 2 + 1)
+    for val in candidates:
+        steps.spend(1)
+        model[x] = val
+        got, deeper = _assign(stages, i - 1, model, steps)
+        if got is not None:
+            return got, incomplete
+        incomplete = incomplete or deeper
+        del model[x]
+    return None, incomplete
 
 
 # A disequality `coeffs . vars != k`, with its two sides `< k` and `> k`.
@@ -387,18 +387,17 @@ class _Prefix:
     from the root.  `result` is the answer to a query that ends here, and a
     refuted prefix, one that propagation found contradictory, answers unsat
     to every query through it.  `witness`, if any, satisfies the prefix; the
-    root's is empty.  Children are keyed by their interned conjunct."""
+    root's is empty.  Children are keyed by their interned conjunct.  A node
+    has no link to its parent, so the trie holds no reference cycle: a path
+    of nodes from the root stands for the node at its end."""
 
-    __slots__ = ("parent", "children", "depth", "size", "result", "witness", "refuted", "atoms", "clauses",
-                 "mentions")
+    __slots__ = ("children", "size", "result", "witness", "refuted", "atoms", "clauses", "mentions")
 
-    def __init__(self, parent: Optional[_Prefix]) -> None:
-        self.parent = parent
+    def __init__(self, witness: Optional[dict] = None) -> None:
         self.children: dict[Formula, _Prefix] = {}
-        self.depth = 0 if parent is None else parent.depth + 1
         self.size = (0, 0, 0, 0)
         self.result: Optional[SatResult] = None
-        self.witness: Optional[dict] = None if parent else {}
+        self.witness = witness
         self.refuted = False
         self.atoms: tuple[_Atom, ...] = ()
         self.clauses: tuple[tuple, ...] = ()
@@ -406,19 +405,19 @@ class _Prefix:
 
 
 class _Query:
-    """A solver's one live context, the compiled and propagated state of trie
-    node `node`, and a search below it: DPLL with unit propagation over the
-    clauses of the formula's negation normal form, Fourier-Motzkin
-    refutation of the comparisons assigned so far, and lazy disequality
-    splits at the leaves.  `goto` and `push` move it at the cost of the
-    distance moved.  Atoms are decided in order of first occurrence, true
-    first, and a leaf is a prefix of that order under which the formula is
-    true, so the first model found does not depend on what propagation or
+    """A solver's one live context, the compiled and propagated state of the
+    trie node at the end of `path`, and a search below it: DPLL with unit
+    propagation over the clauses of the formula's negation normal form,
+    Fourier-Motzkin refutation of the comparisons assigned so far, and lazy
+    disequality splits at the leaves.  `goto` and `push` move it at the cost
+    of the distance moved.  Atoms are decided in order of first occurrence,
+    true first, and a leaf is a prefix of that order under which the formula
+    is true, so the first model found does not depend on what propagation or
     the theory checks prune.
     """
 
     def __init__(self, root: _Prefix) -> None:
-        self.node = root
+        self.path = [root]
         self.known: dict[Formula, _Atom] = {}
         self.atoms: list[_Atom] = []
         self.index: dict[_Atom, int] = {}
@@ -433,24 +432,24 @@ class _Query:
         self.sat_trail: list[int] = []
         self.witness: dict = {}  # the last leaf's model, integers by key
 
-    def goto(self, node: _Prefix) -> None:
-        """Make the state `node`'s."""
-        a, b, down = self.node, node, []
-        while a is not b:
-            if b.depth >= a.depth:
-                down.append(b)
-                b = b.parent  # type: ignore[assignment]
-            else:
-                a = a.parent  # type: ignore[assignment]
-        if a is not self.node:
-            self._pop(*a.size)
-        for n in reversed(down):
+    def goto(self, path: list[_Prefix]) -> None:
+        """Make the state that of the node at the end of `path`, a path from
+        the root: pop to the longest prefix it shares with the current path,
+        then replay the deltas below it."""
+        here = self.path
+        k = min(len(here), len(path))
+        while here[k - 1] is not path[k - 1]:  # paths from one root agree up to where they part
+            k -= 1
+        if k < len(here):
+            self._pop(*here[k - 1].size)
+            del here[k:]
+        for n in path[k:]:
             self.index.update(zip(n.atoms, range(len(self.atoms), len(self.atoms) + len(n.atoms))))
             self.atoms += n.atoms
             self.clauses += n.clauses
             self.seen.update(n.clauses)
-            self._enter(n)
-        self.node = node
+            self._enter(n, here[-1].size)
+            here.append(n)
 
     def _pop(self, na: int, nc: int, nt: int, ns: int) -> None:
         """Truncate the state to the given sizes, those of an ancestor."""
@@ -474,10 +473,11 @@ class _Query:
             self.sat[c] = False
         del self.sat_trail[ns:]
 
-    def _enter(self, n: _Prefix) -> bool:
-        """Extend the state of `n`'s parent, with `n`'s atoms and clauses
-        appended, to `n`'s; False when propagation meets a conflict."""
-        na, nc, nt, _ = n.parent.size  # type: ignore[union-attr]
+    def _enter(self, n: _Prefix, parent_size: tuple[int, int, int, int]) -> bool:
+        """Extend the state of `n`'s parent, of size `parent_size`, with `n`'s
+        atoms and clauses appended, to `n`'s; False when propagation meets a
+        conflict."""
+        na, nc, nt, _ = parent_size
         self.val += [None] * (len(self.atoms) - na)
         self.occ += [[] for _ in range(len(self.atoms) - na)]
         self.sat += [False] * (len(self.clauses) - nc)
@@ -491,8 +491,8 @@ class _Query:
         """Compile `conjunct` onto the current node, propagate, and record
         the delta as the node's child, which becomes the current node
         unless propagation refutes it."""
-        parent = self.node
-        node = parent.children[conjunct] = _Prefix(parent)
+        parent = self.path[-1]
+        node = parent.children[conjunct] = _Prefix()
         na, nc, _, _ = parent.size
         # a clause is its NNF part's disjuncts, which tell parts apart, so
         # this is the deduplication of the whole formula's NNF
@@ -504,13 +504,13 @@ class _Query:
         node.atoms = tuple(self.atoms[na:])
         node.clauses = tuple(self.clauses[nc:])
         node.mentions = tuple(tuple(_mentioned(clause, set())) for clause in node.clauses)
-        if not self._enter(node):
+        if not self._enter(node, parent.size):
             self._pop(*parent.size)
             node.refuted = True
             node.result = SatResult("unsat")
             return node
         node.size = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
-        self.node = node
+        self.path.append(node)
         return node
 
     def satisfies(self, witness: dict, nc: int) -> bool:
@@ -575,7 +575,7 @@ class _Query:
         except _OutOfSteps:
             return SatResult("unknown", diagnostic=f"step budget of {_STEP_BUDGET} exhausted")
         finally:
-            self._undo(*self.node.size[2:])
+            self._undo(*self.path[-1].size[2:])
         if status == "unknown":
             return SatResult("unknown", diagnostic="incomplete arithmetic search")
         return SatResult(status, model)
@@ -752,13 +752,14 @@ class BuiltinSolver(Solver):
     queries.  Trie and atoms live as long as the solver."""
 
     def __init__(self) -> None:
-        self._root = _Prefix(None)
+        self._root = _Prefix({})
         self._query = _Query(self._root)
 
     def satisfiable(self, f: Formula) -> SatResult:
-        node = self._node(f)
+        path = self._path(f)
+        node = path[-1]
         if node.result is None:
-            self._query.goto(node)
+            self._query.goto(path)
             node.result = self._query.run()
             if node.result.status == "sat":
                 node.witness = self._query.witness
@@ -768,30 +769,30 @@ class BuiltinSolver(Solver):
         """As `satisfiable(f).status != "unsat"`, but first check the witness
         of the deepest prefix that has one against the clauses added since;
         only if it fails does the search run."""
-        node = self._node(f)
+        path = self._path(f)
+        node = path[-1]
         if node.result is None:
-            w = node
-            while w.witness is None:
-                w = w.parent  # type: ignore[assignment]
-            self._query.goto(node)
+            w = next(n for n in reversed(path) if n.witness is not None)
+            self._query.goto(path)
             if self._query.satisfies(w.witness, w.size[1]):
                 node.witness = w.witness
                 return True
         return self.satisfiable(f).status != "unsat"
 
-    def _node(self, f: Formula) -> _Prefix:
-        """The trie node of `f`'s conjuncts, pushing those it lacks, or the
-        first refuted node on the way."""
-        node = self._root
+    def _path(self, f: Formula) -> list[_Prefix]:
+        """The path from the root to the trie node of `f`'s conjuncts,
+        pushing those it lacks, or to the first refuted node on the way."""
+        path = [self._root]
         for c in f.args if isinstance(f, And) else (f,):
+            node = path[-1]
             if node.refuted:
                 break
             child = node.children.get(c)
             if child is None:
-                self._query.goto(node)
+                self._query.goto(path)
                 child = self._query.push(c)
-            node = child
-        return node
+            path.append(child)
+        return path
 
 
 # ---------------------------------------------------------------------------

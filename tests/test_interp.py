@@ -105,7 +105,7 @@ def test_determinism():
 
 
 def test_even_odd_two_iterations():
-    p = load_corpus("even_odd")
+    p = CompiledProgram(load_corpus("even_odd"))
     ee_star = rx.star(rx.concat(rx.symbol("even"), rx.symbol("odd")))
     seen_two = False
     for seed in range(200):
@@ -140,7 +140,7 @@ def test_spec_stmt_modifies_respects_relation():
         "proc bump() _(modifies x) _(ensures x < x') ;\n"
         "proc p() { bump(); }\n"
     )
-    p = load(src)
+    p = CompiledProgram(load(src))
     for seed in range(20):
         r = run(p, "p", {"x": 2}, seed=seed)
         assert r.outcome == "stopped"
@@ -164,7 +164,7 @@ def _spec_variant():
 
 
 def test_desugared_emit_same_trace_per_run():
-    pe, ps = _emit_variant(), _spec_variant()
+    pe, ps = CompiledProgram(_emit_variant()), CompiledProgram(_spec_variant())
     for seed in range(30):
         assert run(pe, "p", {}, seed=seed).trace == ("a", "b")
         assert run(ps, "p", {}, seed=seed).trace == ("a", "b")
@@ -186,6 +186,7 @@ def test_desugared_emit_same_distribution_on_loop():
         loop.test, loop.invariant, loop.trace_inv, new_body, loop.local_trace
     )
     ps.procedures["p"].body = Seq((havoc, new_loop))
+    pe, ps = CompiledProgram(pe), CompiledProgram(ps)
     lengths_e = Counter(len(run(pe, "p", {}, seed=s).trace) for s in range(500))
     lengths_s = Counter(len(run(ps, "p", {}, seed=s).trace) for s in range(500))
     for n in range(4):

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -450,6 +451,52 @@ def test_word_starting_with_non_decimal_digit():
     with pytest.raises(ParseError) as exc:
         tokenize(src)
     assert (exc.value.msg, exc.value.line, exc.value.col) == ("unexpected character '²'", where.line, where.col)
+
+
+# A character that starts no token is reported before any error the parser
+# meets earlier in the source: a parse error, an undeclared event, an
+# undeclared variable, or nesting too deep for the recursion limit.  A word
+# starting with '²' is reported wherever the parser would take it as a name.
+@pytest.mark.parametrize("src,msg", [
+    ("events a;\nint x;\nproc q() { x = ; }\n@", "4:1: unexpected character '@'"),
+    ("events a;\nproc q() { _(emit b) }\n  #", "3:3: unexpected character '#'"),
+    ("events a;\nproc q() { y = 1; } \x0c", "2:21: unexpected character '\\x0c'"),
+    ("events a;\nproc q() { a_(emit a) } ²", "2:25: unexpected character '²'"),
+    ("events a;\nproc q() { ²x(); }", "2:12: unexpected character '²'"),
+    ("events ²a;\nproc q() { }", "1:8: unexpected character '²'"),
+    ("events a;\nint x;\nproc q() { x = " + "(" * 2000 + "1 ; }\n@", "4:1: unexpected character '@'"),
+], ids=["parse-error", "undeclared-event", "undeclared-variable", "bad-annotation", "call", "declared",
+        "too-deep"])
+def test_unexpected_character_is_reported_first(src, msg):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == msg
+
+
+@given(_source_st)
+@settings(max_examples=200, deadline=None)
+def test_parse_reports_the_lexer_error_first(src):
+    try:
+        tokenize(src)
+    except ParseError as e:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == str(e)
+
+
+def test_loading_a_straight_line_peaks_near_what_it_keeps():
+    # tokens are read as the parser moves, so the peak stays near the 140
+    # bytes per statement that the AST keeps; a list of all tokens would not
+    n = 20_000
+    src = "events a, b;\nproc main()\n  _(trace (a b)*)\n{\n" + "  _(emit a)\n  _(emit b)\n" * (n // 2) + "}\n"
+    tracemalloc.start()
+    try:
+        program = load(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(program.procedures["main"].body.stmts) == n
+    assert peak <= 250 * n
 
 
 # -- resolve ------------------------------------------------------------------

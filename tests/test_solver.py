@@ -373,7 +373,7 @@ def test_live_context_answers_as_fresh_solvers_wherever_it_moves():
         else:
             assert got == (want.status != "unsat") == expected
         replayed = solver_module._Query(shared._root)
-        replayed.goto(shared._query.node)
+        replayed.goto(shared._query.path)
         assert _live_state(shared._query) == _live_state(replayed)
 
 

@@ -11,6 +11,7 @@ from helpers import ReferenceVerifier, enum_member, enum_words
 from retrace import interp, verifier
 from retrace import regex as rx
 from retrace.corpus import CORPUS, MUTANTS, load_corpus
+from retrace.corpus import path as corpus_path
 from retrace.interp import check_triple_random
 from retrace.formula import (
     FALSE,
@@ -419,6 +420,30 @@ def test_straight_line_keeps_little_regex_memory():
     assert not rep.verified
     held = sum(d.size_diff for d in after.compare_to(before, "filename"))
     assert held <= 300 * len(word)
+
+
+def test_nothing_is_left_to_the_cycle_collector():
+    # what loading, verifying, an oracle check and the reports build is freed
+    # by reference counting: no solver trie node links back to its parent,
+    # and no function refers to itself through a closure
+    arms = "".join(f"  bool x{i} = nondet();\n  if (x{i}) {{ _(emit a) }} else {{ _(emit b) }}\n"
+                   for i in range(3))
+    sources = [corpus_path(name).read_text() for name in list(CORPUS) + list(MUTANTS)] + [
+        f"events a, b;\nproc main()\n  _(trace (a | b) (a | b) (a | b))\n{{\n{arms}}}\n",
+        "events a, b;\nproc main()\n  _(trace (a b)*)\n{\n" + "  _(emit a)\n  _(emit b)\n" * 20 + "}\n",
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for src in sources:
+            program = load(src)
+            rep = Verifier(program, BuiltinSolver()).verify_program()
+            oracle = check_triple_random(program, program.entry, 16, 1, 256)
+            rep.to_dict(), oracle.to_dict()
+        del program, rep, oracle
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- the benchmark tracer's hooks ----------------------------------------------
