@@ -26,12 +26,14 @@ conjuncts.  Each node holds its prefix compiled and unit-propagated, as a
 delta over its parent; a query compiles only the conjuncts past the
 longest prefix the trie holds and then searches, on a fresh budget, from
 that prefix's propagated state, which one live context moves to by popping
-back to the common ancestor and replaying the deltas down.  A query that
-ends at a node answered before gets that answer.  Atoms, and the linear
-constraints of their literals, are made once per solver.  Every answer and
-model is the one that compiling the whole formula afresh gives: the atoms
-keep their order of first occurrence, the clauses their deduplication, and
-propagation reaches the same assignment whatever order it runs in.
+back to the common ancestor and replaying the deltas down.  Atoms, and the
+linear constraints of their literals, are made once per solver.  Every
+answer and model is the one that compiling the whole formula afresh gives:
+the atoms keep their order of first occurrence, the clauses their
+deduplication, and propagation reaches the same assignment whatever order
+it runs in.  So an answer is a function of the formula and the step
+budget, and every built-in solver of the process shares one table of
+answers per budget, kept as long as the interned formulas it is keyed by.
 `feasible`, which only tells unsat apart, first checks a model kept from an
 earlier query against the clauses added since.
 
@@ -86,8 +88,8 @@ class Solver:
     """Interface shared by the built-in and external backends: both answer
     whole formulas, and an entailment is one satisfiability query.  Both
     answer a repeated query from what they kept of the first: the built-in
-    backend from its trie of queries, the external one from a memo.
-    Neither evicts."""
+    backend from the answers every built-in solver of the process shares,
+    the external one from its own memo.  Neither evicts."""
 
     def satisfiable(self, f: Formula) -> SatResult:
         raise NotImplementedError
@@ -126,6 +128,12 @@ _UNBOUNDED_WINDOW = 33
 # combinations and the values the model search tries; a query that runs
 # out is unknown.
 _STEP_BUDGET = 100_000
+# Every built-in solver's answers, by step budget and then by formula.
+_ANSWERS: dict[int, dict[Formula, SatResult]] = {}
+_UNSAT = SatResult("unsat")  # the answer of a query through a refuted prefix
+# What `feasible` records when a kept witness satisfies a formula: not unsat,
+# but no answer yet for `satisfiable`, which searches and overwrites it.
+_WITNESSED = SatResult("sat")
 
 
 class _OutOfSteps(Exception):
@@ -384,19 +392,18 @@ class _Prefix:
     compiled and unit-propagated.  It is stored as a delta over its parent:
     the atoms and clauses its conjunct adds and the atoms each new clause
     mentions; `size` counts the atoms, clauses, trail and satisfied clauses
-    from the root.  `result` is the answer to a query that ends here, and a
-    refuted prefix, one that propagation found contradictory, answers unsat
-    to every query through it.  `witness`, if any, satisfies the prefix; the
-    root's is empty.  Children are keyed by their interned conjunct.  A node
-    has no link to its parent, so the trie holds no reference cycle: a path
-    of nodes from the root stands for the node at its end."""
+    from the root.  A refuted prefix, one that propagation found
+    contradictory, answers unsat to every query through it.  `witness`, if
+    any, satisfies the prefix; the root's is empty.  Children are keyed by
+    their interned conjunct.  A node has no link to its parent, so the trie
+    holds no reference cycle: a path of nodes from the root stands for the
+    node at its end."""
 
-    __slots__ = ("children", "size", "result", "witness", "refuted", "atoms", "clauses", "mentions")
+    __slots__ = ("children", "size", "witness", "refuted", "atoms", "clauses", "mentions")
 
     def __init__(self, witness: Optional[dict] = None) -> None:
         self.children: dict[Formula, _Prefix] = {}
         self.size = (0, 0, 0, 0)
-        self.result: Optional[SatResult] = None
         self.witness = witness
         self.refuted = False
         self.atoms: tuple[_Atom, ...] = ()
@@ -507,7 +514,6 @@ class _Query:
         if not self._enter(node, parent.size):
             self._pop(*parent.size)
             node.refuted = True
-            node.result = SatResult("unsat")
             return node
         node.size = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
         self.path.append(node)
@@ -746,38 +752,48 @@ class BuiltinSolver(Solver):
 
     A solver keeps its queries in a trie keyed by their top-level
     conjuncts, so a query compiles only the conjuncts past the longest
-    prefix an earlier query compiled, and a repeated query is answered
-    from its node.  One live context moves between the trie's nodes, and
-    its atoms, with their theories, are shared by all the solver's
-    queries.  Trie and atoms live as long as the solver."""
+    prefix an earlier query compiled.  One live context moves between the
+    trie's nodes, and its atoms, with their theories, are shared by all the
+    solver's queries.  Trie and atoms live as long as the solver; answers
+    live as long as the process, one table per step budget, and a query
+    that any built-in solver answered before is answered from there."""
 
     def __init__(self) -> None:
         self._root = _Prefix({})
         self._query = _Query(self._root)
 
     def satisfiable(self, f: Formula) -> SatResult:
-        path = self._path(f)
-        node = path[-1]
-        if node.result is None:
-            self._query.goto(path)
-            node.result = self._query.run()
-            if node.result.status == "sat":
-                node.witness = self._query.witness
-        return node.result
+        answers = _ANSWERS.setdefault(_STEP_BUDGET, {})
+        r = answers.get(f)
+        if r is None or r is _WITNESSED:
+            path = self._path(f)
+            if path[-1].refuted:
+                r = _UNSAT
+            else:
+                self._query.goto(path)
+                r = self._query.run()
+                if r.status == "sat":
+                    path[-1].witness = self._query.witness
+            answers[f] = r
+        return r
 
     def feasible(self, f: Formula) -> bool:
         """As `satisfiable(f).status != "unsat"`, but first check the witness
         of the deepest prefix that has one against the clauses added since;
         only if it fails does the search run."""
-        path = self._path(f)
-        node = path[-1]
-        if node.result is None:
-            w = next(n for n in reversed(path) if n.witness is not None)
-            self._query.goto(path)
-            if self._query.satisfies(w.witness, w.size[1]):
-                node.witness = w.witness
-                return True
-        return self.satisfiable(f).status != "unsat"
+        answers = _ANSWERS.setdefault(_STEP_BUDGET, {})
+        r = answers.get(f)
+        if r is None:
+            path = self._path(f)
+            if not path[-1].refuted:
+                w = next(n for n in reversed(path) if n.witness is not None)
+                self._query.goto(path)
+                if self._query.satisfies(w.witness, w.size[1]):
+                    path[-1].witness = w.witness
+                    answers[f] = _WITNESSED
+                    return True
+            r = self.satisfiable(f)
+        return r.status != "unsat"
 
     def _path(self, f: Formula) -> list[_Prefix]:
         """The path from the root to the trie node of `f`'s conjuncts,

@@ -397,7 +397,9 @@ class Verifier:
         )
         mods = sorted(modified_in(w.body, self.p))
         hstore = self.havoc(state.store, mods, proc)
-        if w.local_trace:
+        # a loop with no trace annotation reads as `_(trace local ())`
+        local = w.local_trace or not w.trace_inv.options
+        if local:
             # a local annotation covers one iteration, so each starts from ε
             body_lang = w.trace_inv.options[0].regex if w.trace_inv.options else rx.EPSILON
             spec = complete(plain(body_lang))
@@ -434,7 +436,7 @@ class Verifier:
         cpath = conj(state.path, substitute(inv, cstore), neg(substitute(w.test, cstore)))
         if not self.solver.feasible(cpath):
             return []
-        if w.local_trace:
+        if local:
             # the loop contributes any number of body observations, framed onto
             # the prefix accumulated so far
             return [state.then(dict(cstore), cpath, rx.star(body_lang))]

@@ -4,8 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from retrace import solver
 from retrace.cli import main
-from retrace.corpus import path
+from retrace.corpus import CORPUS, MUTANTS, path
 from retrace.verifier import Verifier
 
 
@@ -13,6 +14,19 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_many_files_in_one_call_give_each_its_own_document(monkeypatch, capsys):
+    # one process verifies every file, and its solvers share their answers
+    files = [str(path(name)) for name in {**CORPUS, **MUTANTS}]
+    monkeypatch.setattr(solver, "_ANSWERS", {})
+    code, out, _ = run_cli(capsys, "--json", *files)
+    docs = json.loads(out)["files"]
+    assert code == 1 and [d["source"] for d in docs] == files
+    for f, doc in zip(files, docs):
+        monkeypatch.setattr(solver, "_ANSWERS", {})
+        _, single, _ = run_cli(capsys, "--json", f)
+        assert json.loads(single)["files"] == [doc], f
 
 
 def test_verified_program_exits_zero(capsys):

@@ -31,6 +31,8 @@ from pathlib import Path
 
 import json
 
+from retrace import solver
+from retrace.cli import main
 from retrace.corpus import CORPUS, MUTANTS
 from retrace.interp import check_triple_random
 from retrace.lang import If, Seq, While, load_file, parse
@@ -73,6 +75,22 @@ def test_json_reports_match_golden():
                 f"golden/{name}.json", f"retrace --json {rel}",
             ))
     assert not mismatched, f"reports differ for {mismatched}:\n{first_diff}"
+
+
+def test_one_process_gives_the_goldens_in_either_order(monkeypatch, capsys):
+    # the solvers of one process share their answers, and what one file's
+    # verification leaves in the table must change no other file's report,
+    # nor must what a verification on a budget of one step leaves there
+    monkeypatch.setattr(solver, "_ANSWERS", {})
+    monkeypatch.chdir(CORPUS_DIR)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_STEP_BUDGET", 1)
+        main(["--json", *FILES.values()])
+    capsys.readouterr()
+    names = list(FILES)  # registry order
+    for name in names + names[::-1]:
+        main(["--json", FILES[name]])
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
 
 
 def oracle_lines() -> list[tuple[str, int, str]]:

@@ -38,8 +38,23 @@ b = BoolRef(Var("b"))
 bp = BoolRef(Var("b", True))
 
 
+def empty_answers():
+    """Every built-in solver's answer table, emptied while the context lasts,
+    so that what a solver is asked is searched for and not read from an
+    earlier test's answers."""
+    return patch.object(solver_module, "_ANSWERS", {})
+
+
+def fresh(f):
+    """What a new solver answers on an empty answer table: the reference
+    for what one solver reuses across queries."""
+    with empty_answers():
+        return BuiltinSolver().satisfiable(f)
+
+
 @pytest.fixture()
-def solver():
+def solver(monkeypatch):
+    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     return BuiltinSolver()
 
 
@@ -108,9 +123,8 @@ def test_boolean_only(solver):
     assert solver.satisfiable(conj(b, neg(b))).status == "unsat"
 
 
-def test_agrees_with_bruteforce_small():
+def test_agrees_with_bruteforce_small(solver):
     rng = random.Random(99)
-    solver = BuiltinSolver()
     for _ in range(150):
         names = ["x", "y", "z"][: rng.randint(1, 3)]
         f = with_domain_bounds(random_formula(rng, names), names)
@@ -138,8 +152,9 @@ def _satisfied_by(f, model):
 
 @pytest.fixture()
 def linear_searches(monkeypatch):
-    """Counts the leaf decider's runs, and fails a query that would need
-    more than 100 of them."""
+    """Counts the leaf decider's runs, on an empty answer table, and fails
+    a query that would need more than 100 of them."""
+    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     calls = []
     inner = solver_module._search_linear
 
@@ -192,6 +207,7 @@ def test_step_budget_gives_unknown_never_unsat(monkeypatch):
     cycle = conj(cmp("<", x, y), cmp("<", y, z), cmp("<", z, w), cmp("<", w, x))
     p, q = boolref("p"), boolref("q")
     clauses = conj(disj(p, q), disj(neg(p), q), disj(p, neg(q)), disj(neg(p), neg(q)))
+    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     for f in (cycle, clauses):
         assert BuiltinSolver().satisfiable(f).status == "unsat"
     monkeypatch.setattr(solver_module, "_STEP_BUDGET", 1)
@@ -213,6 +229,7 @@ def test_step_budget_covers_the_model_search(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(solver_module, "_bounds_for", counted)
+    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     a, b = tvar("a"), tvar("b")
     f = conj(
         cmp("<=", tconst(27), a.scaled(11) + b.scaled(13)),
@@ -262,7 +279,7 @@ def _lia_formulas(draw, names=_INT_NAMES):
 @given(_lia_formulas())
 @settings(max_examples=400, deadline=None)
 def test_agrees_with_reference_solver(f):
-    got = BuiltinSolver().satisfiable(f)
+    got = fresh(f)
     want = ReferenceSolver().satisfiable(f)
     if "unknown" not in (got.status, want.status):
         assert got.status == want.status
@@ -308,12 +325,17 @@ def test_one_solver_answers_a_stream_as_fresh_solvers_do(budget, stream):
     status, model or diagnostic; with a small step budget some answers are
     unknown, and those too are the fresh solver's, never a wrong unsat."""
     path, queries = stream
-    full = [_answer(_ask(BuiltinSolver(), path, q)) for q in queries]
-    with patch.object(solver_module, "_STEP_BUDGET", budget):
+
+    def fresh_answer(q):
+        with empty_answers():
+            return _answer(_ask(BuiltinSolver(), path, q))
+
+    full = [fresh_answer(q) for q in queries]
+    with patch.object(solver_module, "_STEP_BUDGET", budget), empty_answers():
         shared = BuiltinSolver()
         for q, want_full in zip(queries, full):
             got = _answer(_ask(shared, path, q))
-            assert got == _answer(_ask(BuiltinSolver(), path, q))
+            assert got == fresh_answer(q)
             assert got[0] in (want_full[0], "unknown")
 
 
@@ -325,11 +347,11 @@ def test_feasible_is_a_fresh_solvers_not_unsat(budget, stream):
     fresh solver's `satisfiable(f).status != "unsat"` says, and trying a
     witness first changes no answer or model of `satisfiable`."""
     path, queries = stream
-    with patch.object(solver_module, "_STEP_BUDGET", budget):
+    with patch.object(solver_module, "_STEP_BUDGET", budget), empty_answers():
         shared = BuiltinSolver()
         for n, (kind, k, extra) in enumerate(queries):
             f = conj(*path[:k], extra if kind == "sat" else neg(extra))
-            want = BuiltinSolver().satisfiable(f)
+            want = fresh(f)
             if kind == "sat" or n % 2:
                 assert _answer(shared.satisfiable(f)) == _answer(want)
             if kind == "entails" or n % 2:
@@ -340,7 +362,7 @@ def _live_state(q):
     return q.atoms, q.index, q.clauses, q.seen, q.mentions, q.occ, q.val, q.trail, q.sat, q.sat_trail
 
 
-def test_live_context_answers_as_fresh_solvers_wherever_it_moves():
+def test_live_context_answers_as_fresh_solvers_wherever_it_moves(monkeypatch):
     """One solver's context goes down a deep path, to a sibling, back to the
     root, through a refuted push and past a search that runs out of steps.
     Each answer is a fresh solver's, and the context always holds what
@@ -363,10 +385,11 @@ def test_live_context_answers_as_fresh_solvers_wherever_it_moves():
         ("satisfiable", 1, conj(*deep[:4], cmp("<", z, x)), "unknown"),  # answered before
         ("satisfiable", full, conj(*deep), "sat"),  # the first query again
     ]
+    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     shared = BuiltinSolver()
     for method, budget, f, expected in script:
         with patch.object(solver_module, "_STEP_BUDGET", budget):
-            want = BuiltinSolver().satisfiable(f)
+            want = fresh(f)
             got = getattr(shared, method)(f)
         if method == "satisfiable":
             assert _answer(got) == _answer(want) and got.status == expected
@@ -377,7 +400,7 @@ def test_live_context_answers_as_fresh_solvers_wherever_it_moves():
         assert _live_state(shared._query) == _live_state(replayed)
 
 
-def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart():
+def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart(solver):
     a, b_int, x, y = tvar("a"), tvar("b"), tvar("x"), tvar("y")
     b_small = cmp("<=", b_int, tconst(0))
     path = conj(cmp("<=", x, y), boolref("p"))
@@ -387,10 +410,79 @@ def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart():
         conj(path, cmp("<", y, x)),  # one prefix, then two different extras
         conj(path, cmp("==", x, y)),
     ]
-    shared = BuiltinSolver()
-    got = [_answer(shared.satisfiable(f)) for f in queries]
-    assert got == [_answer(BuiltinSolver().satisfiable(f)) for f in queries]
+    got = [_answer(solver.satisfiable(f)) for f in queries]
+    assert got == [_answer(fresh(f)) for f in queries]
     assert [status for status, _, _ in got] == ["sat", "sat", "unsat", "sat"]
+
+
+# -- answers shared by every solver of the process ------------------------------
+
+
+@pytest.fixture()
+def query_calls(monkeypatch):
+    """Counts, on an empty answer table, the searches (`run`), conjunct
+    compilations (`push`) and witness checks (`satisfies`) of every solver."""
+    monkeypatch.setattr(solver_module, "_ANSWERS", {})
+    calls = dict.fromkeys(("run", "push", "satisfies"), 0)
+    for name in calls:
+        def counted(*args, _inner=getattr(solver_module._Query, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(solver_module._Query, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("budgets", [(1, solver_module._STEP_BUDGET), (solver_module._STEP_BUDGET, 1)])
+def test_answers_are_kept_per_step_budget(budgets, query_calls):
+    """An answer is kept for the budget it was found under: a query left
+    unknown by a budget of one step is decided on the full budget, and the
+    other way round, on new solvers and on one solver alike."""
+    x, y, z, w = (tvar(n) for n in "xyzw")
+    cycle = conj(cmp("<", x, y), cmp("<", y, z), cmp("<", z, w), cmp("<", w, x))
+    chain = conj(cmp("<", x, y), cmp("<", y, z), cmp("<", z, w))
+    want = {cycle: fresh(cycle), chain: fresh(chain)}
+    assert [r.status for r in want.values()] == ["unsat", "sat"]
+    shared = BuiltinSolver()
+    for budget in budgets:
+        with patch.object(solver_module, "_STEP_BUDGET", budget):
+            for f, full in want.items():
+                for s in (BuiltinSolver(), BuiltinSolver(), shared):
+                    r = s.satisfiable(f)
+                    if budget == 1:
+                        assert r.status == "unknown" and "step budget" in r.diagnostic
+                    else:
+                        assert _answer(r) == _answer(full)
+                    assert s.feasible(f) == (r.status != "unsat")
+
+
+def test_satisfiable_after_a_witness_hit_searches(query_calls):
+    """`feasible` records that a kept witness satisfies a query; any solver
+    then takes the query for not unsat without a search, and `satisfiable`
+    still answers it with the model an empty table gives, not the witness."""
+    x, y = tvar("x"), tvar("y")
+    p = cmp("<=", tconst(0), x)
+    f = conj(p, cmp("<=", y, x))
+    want = fresh(f)
+    query_calls.update(dict.fromkeys(query_calls, 0))
+    first = BuiltinSolver()
+    assert first.satisfiable(p).status == "sat"
+    assert first.feasible(f) and query_calls == {"run": 1, "push": 2, "satisfies": 1}
+    second = BuiltinSolver()
+    assert second.feasible(f) and query_calls == {"run": 1, "push": 2, "satisfies": 1}
+    got = second.satisfiable(f)
+    assert _answer(got) == _answer(want) and got.model[Var("y")] != 0  # the witness had y = 0
+    assert query_calls["run"] == 2
+    assert _answer(BuiltinSolver().satisfiable(f)) == _answer(want) and query_calls["run"] == 2
+
+
+@pytest.mark.parametrize("name", sorted({**CORPUS, **MUTANTS}))
+def test_verifying_a_file_again_searches_nothing(name, query_calls):
+    program = load_corpus(name)
+    first = Verifier(program, BuiltinSolver()).verify_program().to_dict()
+    assert query_calls["run"] > 0
+    query_calls.update(dict.fromkeys(query_calls, 0))
+    assert Verifier(program, BuiltinSolver()).verify_program().to_dict() == first
+    assert query_calls == {"run": 0, "push": 0, "satisfies": 0}
 
 
 SOLVER_GOLDEN = Path(__file__).parent / "golden" / "solver_answers.jsonl"
@@ -432,7 +524,8 @@ def test_corpus_answers_match_golden():
         PYTHONPATH=src:tests python -c "import test_solver as t; t.SOLVER_GOLDEN.write_text(t.corpus_answers(), encoding='utf-8')"
     """
     want = SOLVER_GOLDEN.read_text(encoding="utf-8").splitlines()
-    got = corpus_answers().splitlines()
+    with empty_answers():
+        got = corpus_answers().splitlines()
     changed = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not changed, (
         f"{len(got)} answers against {len(want)} in the golden; first change: {changed[:1]}"

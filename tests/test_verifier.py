@@ -373,6 +373,39 @@ def test_nested_loop_wrong_inner_invariant_fails():
     assert not verify_program(load(src)).verified
 
 
+def test_unannotated_loop_keeps_the_prefix_before_it():
+    # a loop with no trace annotation reads as `_(trace local ())`: it emits
+    # nothing and keeps the prefix, so the contract sees `even`
+    src = (
+        "events even;\n"
+        "proc quiet()\n"
+        "  _(trace even)\n"
+        "{\n"
+        "  _(emit even)\n"
+        "  int i = 0;\n"
+        "  while (i < 3) _(invariant i <= 3) { i = i + 1; }\n"
+        "}\n"
+    )
+    rep = verify_program(load(src))
+    assert rep.verified, [ob.describe() for ob in rep.procedures[0].obligations if not ob.holds]
+
+
+def test_unannotated_loop_that_emits_fails_its_body_coverage():
+    src = (
+        "events even;\n"
+        "proc loud()\n"
+        "  _(trace even*)\n"
+        "{\n"
+        "  int i = 0;\n"
+        "  while (i < 3) _(invariant i <= 3) { _(emit even) i = i + 1; }\n"
+        "}\n"
+    )
+    rep = verify_program(load(src))
+    failed = [ob for ob in rep.procedures[0].obligations if not ob.holds]
+    assert [(ob.description, ob.lhs, ob.rhs, ob.witness) for ob in failed] == [
+        ("loop body trace covered", "even", "()", ("even",))]
+
+
 # -- scale ---------------------------------------------------------------------
 
 

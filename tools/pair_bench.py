@@ -27,6 +27,9 @@ Fresh processes of each tree also measure:
   process started by vfork and exec, as `bench/run.py` starts its workers,
   reports in ru_maxrss the larger of its own peak and its parent's;
 - the garbage collections, by generation, of one untraced `verify` pass;
+- the solver's searches (`_Query.run`), conjunct compilations (`_Query.push`)
+  and witness checks (`_Query.satisfies`) in one untraced `verify` pass,
+  counts that timing noise does not touch;
 - the lines of `src/retrace`, by file.
 """
 
@@ -41,7 +44,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-# run in a fresh interpreter: PROBE <tree> mutant | peak | gc <seed> | pass <workload> <seed>
+# run in a fresh interpreter: PROBE <tree> mutant | peak | gc <seed> | solver <seed> | pass <workload> <seed>
 PROBE = r"""
 import gc, json, resource, sys, time, tracemalloc
 root, what = sys.argv[1], sys.argv[2]
@@ -76,6 +79,17 @@ elif what == "gc":
     before = gc.get_stats()
     worker.run_pass(inputs, seed)
     out["collections"] = [b["collections"] - a["collections"] for a, b in zip(before, gc.get_stats())]
+elif what == "solver":
+    import worker
+    from retrace import solver
+    seed = int(sys.argv[3])
+    for name in ("run", "push", "satisfies"):
+        def counted(*args, _inner=getattr(solver._Query, name), _name=name):
+            out[_name] += 1
+            return _inner(*args)
+        out[name] = 0
+        setattr(solver._Query, name, counted)
+    worker.run_pass(MAKERS["verify"](seed), seed)
 elif what == "pass":
     import worker
     seed = int(sys.argv[4])
@@ -186,6 +200,8 @@ def main(argv: list[str] | None = None) -> int:
     own_peak = {wl: compare(list(zip(runs["parent"], runs["change"]))) for wl, runs in own_peak.items()}
     gc_pass = {side: {f"seed{s}": probe(tree, "gc", str(s))["collections"] for s in SEEDS}
                for side, tree in sides.items()}
+    solver_pass = {side: {f"seed{s}": probe(tree, "solver", str(s)) for s in SEEDS}
+                   for side, tree in sides.items()}
 
     lines = {side: source_lines(tree) for side, tree in sides.items()}
     by_file = {f: lines["change"].get(f, 0) - lines["parent"].get(f, 0)
@@ -203,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         "straight_line_100k_mutant": mutant,
         f"pass_vmhwm_mb_seed{SEEDS[0]}": own_peak,
         "gc_collections_per_verify_pass": gc_pass,
+        "solver_calls_per_verify_pass": solver_pass,
         "src_retrace_lines": {"parent": sum(lines["parent"].values()), "change": sum(lines["change"].values()),
                               "net": sum(by_file.values()), "by_file": {f: n for f, n in by_file.items() if n}},
     }
