@@ -812,13 +812,17 @@ def _type(e: Union[Term, Formula]) -> str:
 
 
 def parse(src: str, source: str = "<input>") -> Program:
-    """Parse a program; raises SourceError subclasses with positions.  As
-    when the whole source was lexed first, a character that starts no token
-    is the error reported, wherever parsing stopped."""
+    """Parse a program; raises SourceError subclasses with positions, one for
+    nesting too deep for the recursion limit too.  As when the whole source
+    was lexed first, a character that starts no token is the error
+    reported, wherever parsing stopped."""
+    parser = _Parser(src, source)
     try:
-        return _Parser(src, source).parse_program()
-    except (SourceError, RecursionError) as exc:
+        return parser.parse_program()
+    except SourceError as exc:
         raise _unexpected(src) or exc
+    except RecursionError:
+        raise _unexpected(src) or parser.error("nesting too deep", parser.m) from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,27 +21,29 @@ running out of it gives unknown.
 A built-in solver reuses work across the queries it answers, as an
 incremental DPLL(T) with push and pop does.  The verifier's queries share
 conjunct prefixes (a path condition, then the path and a branch test), so
-the solver keeps a trie of its queries keyed by their top-level
-conjuncts.  Each node holds its prefix compiled and unit-propagated, as a
-delta over its parent; a query compiles only the conjuncts past the
-longest prefix the trie holds and then searches, on a fresh budget, from
-that prefix's propagated state, which one live context moves to by popping
-back to the common ancestor and replaying the deltas down.  Atoms, and the
-linear constraints of their literals, are made once per solver.  Every
-answer and model is the one that compiling the whole formula afresh gives:
-the atoms keep their order of first occurrence, the clauses their
-deduplication, and propagation reaches the same assignment whatever order
-it runs in.  So an answer is a function of the formula and the step
-budget, and every built-in solver of the process shares one table of
-answers per budget, kept as long as the interned formulas it is keyed by.
-`feasible`, which only tells unsat apart, first checks a model kept from an
-earlier query against the clauses added since.
+the solver keeps a trie of its queries keyed by their top-level conjuncts.
+Each node holds its prefix compiled and unit-propagated, as a delta over
+its parent; a query enters only the conjuncts past the longest prefix the
+trie holds and then searches, on a fresh budget, from that prefix's
+propagated state, which one live context moves to by popping back to the
+common ancestor and replaying the deltas down.  The atoms are the interned
+comparison and boolean-variable nodes.  The answers (one table per step
+budget), each conjunct's compiled clauses and each literal's linear
+constraints live per process; the trie, the live context and the witnesses
+per solver.  Every answer and model is the one that compiling the whole
+formula afresh gives: the atoms keep the query's order of first occurrence,
+the clauses their deduplication, and propagation reaches the same
+assignment whatever order it runs in, so an answer is a function of the
+formula and the step budget.  `feasible`, which only tells unsat apart,
+first checks a model kept from an earlier query against the clauses added
+since.
 
 The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Optional
 
@@ -312,15 +314,14 @@ _Theory = tuple[tuple[Lin, ...], Optional[_Diseq]]
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", "<=": ">"}
 
 
-def _kleene(t: object, val: list[Optional[bool]]) -> Optional[bool]:
-    """Three-valued evaluation of an NNF node (see `_Query._nnf`) under a
-    partial assignment of the atoms."""
-    if type(t) is int:
-        if t >= 0:
-            return val[t]
-        v = val[~t]
+def _kleene(t: object, val: dict[Formula, Optional[bool]]) -> Optional[bool]:
+    """Three-valued evaluation of an NNF node (see `_nnf`) under a partial
+    assignment of the atoms."""
+    if type(t) is Not:
+        v = val[t.arg]
         return None if v is None else not v
-    assert isinstance(t, tuple)
+    if type(t) is not tuple:
+        return val[t]  # type: ignore[index]
     decisive, parts = t
     out: Optional[bool] = not decisive
     for a in parts:
@@ -341,45 +342,63 @@ def _parts(t: object, decisive: bool) -> tuple:
     return () if t is (not decisive) else (t,)
 
 
-def _mentioned(parts: tuple, out: set[int]) -> set[int]:
+def _mentioned(parts: tuple, out: dict[Formula, None]) -> dict[Formula, None]:
     """`out` with the atoms of NNF nodes `parts` added."""
     for t in parts:
-        if type(t) is int:
-            out.add(t if t >= 0 else ~t)
+        if type(t) is tuple:
+            _mentioned(t[1], out)
         else:
-            _mentioned(t[1], out)  # type: ignore[index]
+            out[t.arg if type(t) is Not else t] = None  # type: ignore[attr-defined]
     return out
 
 
-class _Atom:
-    """An atom as one solver knows it, shared by every prefix and query of
-    that solver: the formula and, for a comparison, its integer variables
-    by key and its literals' theories by polarity, made on first use."""
+def _nnf(g: Formula, pos: bool) -> object:
+    """`g`, negated unless `pos`, in negation normal form: a literal (an atom
+    or its `neg`), a bool, or a node (v, parts) that is an or when v is True
+    and an and when v is False (v is the value of a part that settles the
+    node).  No part is a bool or a node of its own kind."""
+    if isinstance(g, (BoolRef, Cmp)):
+        return g if pos else neg(g)
+    if isinstance(g, BoolLit):
+        return g.value == pos
+    if isinstance(g, Not):
+        return _nnf(g.arg, not pos)
+    if isinstance(g, Implies):
+        decisive = pos
+        compiled = (_nnf(g.lhs, not pos), _nnf(g.rhs, pos))
+    else:
+        assert isinstance(g, (And, Or))
+        decisive = isinstance(g, Or) == pos
+        compiled = tuple(_nnf(a, pos) for a in g.args)
+    parts: dict[object, None] = {}
+    for p in compiled:
+        if p is decisive:
+            return p
+        parts.update(dict.fromkeys(_parts(p, decisive)))
+    if len(parts) == 1:
+        return next(iter(parts))
+    return (decisive, tuple(parts)) if parts else not decisive
 
-    __slots__ = ("formula", "ints", "theories")
 
-    def __init__(self, formula: Formula) -> None:
-        self.formula = formula
-        self.ints: dict[_Key, Var] = {}
-        self.theories: Optional[list[Optional[_Theory]]] = None
-        if isinstance(formula, Cmp):
-            self.ints = {(v.name, v.primed): v for v in atom_vars(formula)}
-            self.theories = [None, None]
+@functools.cache
+def _compiled(conjunct: Formula) -> tuple[tuple[Formula, ...], dict[tuple, tuple[Formula, ...]]]:
+    """An interned conjunct compiled, once per process: its atoms in order
+    of first occurrence, even where a constant absorbs them, and a dict,
+    shared and never changed, from its clauses, each the parts of one
+    disjunction of its NNF, to the atoms each mentions.  A clause is its NNF
+    part's disjuncts, which tell parts apart, so leaving out those a context
+    already holds is the deduplication of the whole formula's NNF."""
+    clauses = (_parts(p, True) for p in _parts(_nnf(conjunct, True), False))
+    return atoms(conjunct), {clause: tuple(_mentioned(clause, {})) for clause in clauses}
 
-    def theory(self, value: bool) -> _Theory:
-        """What the comparison's literal of polarity `value` asks of the integers."""
-        th = self.theories[value]  # type: ignore[index]
-        if th is None:
-            th = self.theories[value] = _theory_of(self.formula, value)  # type: ignore[index, arg-type]
-        return th
 
-    def holds(self, witness: dict) -> bool:
-        """The atom's value under `witness` (see `_Query.satisfies`)."""
-        if self.theories is None:
-            return witness.get(self.formula.var, False)  # type: ignore[attr-defined]
-        lins, diseq = self.theory(True)
-        return all(_dot(coeffs, witness) <= bound for coeffs, bound in lins) and (
-            diseq is None or _dot(diseq[0], witness) != diseq[1])
+def _holds(atom: Formula, witness: dict) -> bool:
+    """The atom's value under `witness` (see `_Query.satisfies`)."""
+    if type(atom) is BoolRef:
+        return witness.get(atom.var, False)
+    lins, diseq = _theory_of(atom, True)  # type: ignore[arg-type]
+    return all(_dot(coeffs, witness) <= bound for coeffs, bound in lins) and (
+        diseq is None or _dot(diseq[0], witness) != diseq[1])
 
 
 def _dot(coeffs: Coeffs, values: dict) -> int:
@@ -397,7 +416,8 @@ class _Prefix:
     any, satisfies the prefix; the root's is empty.  Children are keyed by
     their interned conjunct.  A node has no link to its parent, so the trie
     holds no reference cycle: a path of nodes from the root stands for the
-    node at its end."""
+    node at its end.  Nodes and witnesses live as long as their solver; the
+    compiled conjuncts their deltas come from, as long as the process."""
 
     __slots__ = ("children", "size", "witness", "refuted", "atoms", "clauses", "mentions")
 
@@ -406,9 +426,9 @@ class _Prefix:
         self.size = (0, 0, 0, 0)
         self.witness = witness
         self.refuted = False
-        self.atoms: tuple[_Atom, ...] = ()
+        self.atoms: tuple[Formula, ...] = ()
         self.clauses: tuple[tuple, ...] = ()
-        self.mentions: tuple[tuple[int, ...], ...] = ()
+        self.mentions: tuple[tuple[Formula, ...], ...] = ()
 
 
 class _Query:
@@ -417,24 +437,23 @@ class _Query:
     propagation over the clauses of the formula's negation normal form,
     Fourier-Motzkin refutation of the comparisons assigned so far, and lazy
     disequality splits at the leaves.  `goto` and `push` move it at the cost
-    of the distance moved.  Atoms are decided in order of first occurrence,
-    true first, and a leaf is a prefix of that order under which the formula
-    is true, so the first model found does not depend on what propagation or
-    the theory checks prune.
+    of the distance moved.  Its atoms are interned formula nodes, and a
+    negative literal is an atom's `neg`.  Atoms are decided in the query's
+    order of first occurrence, kept in `atoms`, true first, and a leaf is a
+    prefix of that order under which the formula is true, so the first model
+    found does not depend on what propagation or the theory checks prune.
     """
 
     def __init__(self, root: _Prefix) -> None:
         self.path = [root]
-        self.known: dict[Formula, _Atom] = {}
-        self.atoms: list[_Atom] = []
-        self.index: dict[_Atom, int] = {}
+        self.atoms: list[Formula] = []
         # the formula's conjuncts, each as the parts of a disjunction
         self.clauses: list[tuple] = []
         self.seen: set[tuple] = set()
-        self.mentions: list[tuple[int, ...]] = []
-        self.occ: list[list[int]] = []
-        self.val: list[Optional[bool]] = []
-        self.trail: list[int] = []
+        self.mentions: list[tuple[Formula, ...]] = []
+        self.occ: dict[Formula, list[int]] = {}
+        self.val: dict[Formula, Optional[bool]] = {}
+        self.trail: list[Formula] = []
         self.sat: list[bool] = []
         self.sat_trail: list[int] = []
         self.witness: dict = {}  # the last leaf's model, integers by key
@@ -451,30 +470,26 @@ class _Query:
             self._pop(*here[k - 1].size)
             del here[k:]
         for n in path[k:]:
-            self.index.update(zip(n.atoms, range(len(self.atoms), len(self.atoms) + len(n.atoms))))
-            self.atoms += n.atoms
-            self.clauses += n.clauses
-            self.seen.update(n.clauses)
             self._enter(n, here[-1].size)
             here.append(n)
 
     def _pop(self, na: int, nc: int, nt: int, ns: int) -> None:
         """Truncate the state to the given sizes, those of an ancestor."""
         self._undo(nt, ns)
+        for atom in self.atoms[na:]:
+            del self.val[atom], self.occ[atom]
+        del self.atoms[na:]
         for c in range(nc, len(self.clauses)):
             self.seen.remove(self.clauses[c])
-            for i in self.mentions[c]:
-                if i < na:
-                    self.occ[i].pop()  # clause c is the last that mentions i
+            for atom in self.mentions[c]:
+                if atom in self.occ:  # an older atom: clause c is the last that mentions it
+                    self.occ[atom].pop()
         del self.clauses[nc:], self.mentions[nc:], self.sat[nc:]
-        for atom in self.atoms[na:]:
-            del self.index[atom]
-        del self.atoms[na:], self.occ[na:], self.val[na:]
 
     def _undo(self, nt: int, ns: int) -> None:
         """Unassign the trail past `nt` and unmark the clauses satisfied past `ns`."""
-        for i in self.trail[nt:]:
-            self.val[i] = None
+        for atom in self.trail[nt:]:
+            self.val[atom] = None
         del self.trail[nt:]
         for c in self.sat_trail[ns:]:
             self.sat[c] = False
@@ -482,35 +497,30 @@ class _Query:
 
     def _enter(self, n: _Prefix, parent_size: tuple[int, int, int, int]) -> bool:
         """Extend the state of `n`'s parent, of size `parent_size`, with `n`'s
-        atoms and clauses appended, to `n`'s; False when propagation meets a
-        conflict."""
-        na, nc, nt, _ = parent_size
-        self.val += [None] * (len(self.atoms) - na)
-        self.occ += [[] for _ in range(len(self.atoms) - na)]
-        self.sat += [False] * (len(self.clauses) - nc)
+        delta to `n`'s; False when propagation meets a conflict."""
+        _, nc, nt, _ = parent_size
+        self.atoms += n.atoms
+        self.val.update(dict.fromkeys(n.atoms))
+        self.occ.update((atom, []) for atom in n.atoms)
+        self.clauses += n.clauses
+        self.seen.update(n.clauses)
+        self.mentions += n.mentions
+        self.sat += [False] * len(n.clauses)
         for c, mentioned in enumerate(n.mentions, nc):
-            self.mentions.append(mentioned)
-            for i in mentioned:
-                self.occ[i].append(c)
+            for atom in mentioned:
+                self.occ[atom].append(c)
         return all(self._settle(c) for c in range(nc, len(self.clauses))) and self._propagate(nt)
 
     def push(self, conjunct: Formula) -> _Prefix:
-        """Compile `conjunct` onto the current node, propagate, and record
-        the delta as the node's child, which becomes the current node
-        unless propagation refutes it."""
+        """Enter `conjunct`'s atoms and clauses that the current node lacks,
+        propagate, and record them as the node's child, which becomes the
+        current node unless propagation refutes it."""
         parent = self.path[-1]
         node = parent.children[conjunct] = _Prefix()
-        na, nc, _, _ = parent.size
-        # a clause is its NNF part's disjuncts, which tell parts apart, so
-        # this is the deduplication of the whole formula's NNF
-        for p in _parts(self._nnf(conjunct, True), False):
-            clause = _parts(p, True)
-            if clause not in self.seen:
-                self.seen.add(clause)
-                self.clauses.append(clause)
-        node.atoms = tuple(self.atoms[na:])
-        node.clauses = tuple(self.clauses[nc:])
-        node.mentions = tuple(tuple(_mentioned(clause, set())) for clause in node.clauses)
+        found, clauses = _compiled(conjunct)
+        node.atoms = tuple(atom for atom in found if atom not in self.val)
+        node.clauses = tuple(clause for clause in clauses if clause not in self.seen)
+        node.mentions = tuple(clauses[clause] for clause in node.clauses)
         if not self._enter(node, parent.size):
             self._pop(*parent.size)
             node.refuted = True
@@ -522,53 +532,12 @@ class _Query:
     def satisfies(self, witness: dict, nc: int) -> bool:
         """Whether clauses nc onward hold under `witness`, a total assignment
         of integers by key and booleans by variable, absent ones 0 or false."""
-        val: list[Optional[bool]] = [None] * len(self.atoms)
+        val: dict[Formula, Optional[bool]] = {}
         for c in range(nc, len(self.clauses)):
-            for i in self.mentions[c]:
-                if val[i] is None:
-                    val[i] = self.atoms[i].holds(witness)
+            val.update((atom, _holds(atom, witness)) for atom in self.mentions[c] if atom not in val)
             if not any(_kleene(p, val) for p in self.clauses[c]):
                 return False
         return True
-
-    def _atom(self, a: Formula) -> int:
-        atom = self.known.get(a)
-        if atom is None:
-            atom = self.known[a] = _Atom(a)
-        i = self.index.get(atom)
-        if i is None:
-            i = self.index[atom] = len(self.atoms)
-            self.atoms.append(atom)
-        return i
-
-    def _nnf(self, g: Formula, pos: bool) -> object:
-        """`g`, negated unless `pos`, in negation normal form over atom
-        indices: a literal `i` or `~i`, a bool, or a node (v, parts) that is
-        an or when v is True and an and when v is False (v is the value of a
-        part that settles the node).  No part is a bool or a node of its own
-        kind.  Every atom of `g` is indexed, even where a constant absorbs it."""
-        if isinstance(g, (BoolRef, Cmp)):
-            i = self._atom(g)
-            return i if pos else ~i
-        if isinstance(g, BoolLit):
-            return g.value == pos
-        if isinstance(g, Not):
-            return self._nnf(g.arg, not pos)
-        if isinstance(g, Implies):
-            decisive = pos
-            compiled = (self._nnf(g.lhs, not pos), self._nnf(g.rhs, pos))
-        else:
-            assert isinstance(g, (And, Or))
-            decisive = isinstance(g, Or) == pos
-            compiled = tuple(self._nnf(a, pos) for a in g.args)
-        parts: dict[object, None] = {}
-        for p in compiled:
-            if p is decisive:
-                return p
-            parts.update(dict.fromkeys(_parts(p, decisive)))
-        if len(parts) == 1:
-            return next(iter(parts))
-        return (decisive, tuple(parts)) if parts else not decisive
 
     # -- search -------------------------------------------------------------
 
@@ -599,11 +568,11 @@ class _Query:
             elif r:
                 break
         else:
-            if free != 1 or type(unit) is not int:
+            if free != 1 or type(unit) is tuple:
                 return free > 0
-            i = unit if unit >= 0 else ~unit
-            val[i] = unit >= 0
-            self.trail.append(i)
+            atom, value = (unit.arg, False) if type(unit) is Not else (unit, True)
+            val[atom] = value
+            self.trail.append(atom)
         self.sat[c] = True
         self.sat_trail.append(c)
         return True
@@ -619,11 +588,11 @@ class _Query:
         return True
 
     def _search(self, nxt: int, checked: int) -> tuple[str, Optional[Model]]:
-        """Search below the current assignment, whose atoms before `nxt` are
-        assigned and whose comparisons up to trail position `checked`
-        passed a theory check."""
-        val = self.val
-        while nxt < len(val) and val[nxt] is not None:
+        """Search below the current assignment, whose atoms before position
+        `nxt` are assigned and whose comparisons up to trail position
+        `checked` passed a theory check."""
+        val, atoms = self.val, self.atoms
+        while nxt < len(atoms) and val[atoms[nxt]] is not None:
             nxt += 1
         if len(self.sat_trail) == len(self.clauses) and nxt == len(self.trail):
             return self._leaf()
@@ -634,8 +603,8 @@ class _Query:
         for value in (True, False):
             self.steps.spend(1)
             trail_mark, sat_mark = len(self.trail), len(self.sat_trail)
-            val[nxt] = value
-            self.trail.append(nxt)
+            val[atoms[nxt]] = value
+            self.trail.append(atoms[nxt])
             if self._propagate(trail_mark):
                 status, model = self._search(nxt + 1, checked)
                 if status == "sat":
@@ -644,18 +613,17 @@ class _Query:
             self._undo(trail_mark, sat_mark)
         return ("unknown" if unknown else "unsat"), None
 
-    def _theory(self, i: int) -> Optional[_Theory]:
-        """What the assigned literal of atom i asks of the integers; None
+    def _theory(self, atom: Formula) -> Optional[_Theory]:
+        """What the assigned literal of `atom` asks of the integers; None
         for a boolean variable."""
-        atom = self.atoms[i]
-        return None if atom.theories is None else atom.theory(self.val[i])  # type: ignore[arg-type]
+        return None if type(atom) is BoolRef else _theory_of(atom, self.val[atom])  # type: ignore[arg-type]
 
-    def _constraints(self, assigned: Iterable[int]) -> tuple[Cons, list[_Diseq]]:
+    def _constraints(self, assigned: Iterable[Formula]) -> tuple[Cons, list[_Diseq]]:
         """What the literals of the `assigned` atoms ask of the integers."""
         cons: Cons = {}
         diseqs: list[_Diseq] = []
-        for i in assigned:
-            th = self._theory(i)
+        for atom in assigned:
+            th = self._theory(atom)
             if th is None:
                 continue
             lins, diseq = th
@@ -668,7 +636,7 @@ class _Query:
     def _refuted(self, checked: int) -> bool:
         """Fourier-Motzkin refutes the comparisons assigned so far, leaving
         disequalities out; only tried when one was assigned after `checked`."""
-        if not any((th := self._theory(i)) and th[0] for i in self.trail[checked:]):
+        if not any((th := self._theory(atom)) and th[0] for atom in self.trail[checked:]):
             return False
         return _project(self._constraints(self.trail)[0], self.steps) is None
 
@@ -677,18 +645,18 @@ class _Query:
         and its model of every variable of the query: a boolean past the
         prefix is false, and an integer no assigned comparison constrains
         is 0.  The model is kept as `witness` too."""
-        status, intmodel = self._split(*self._constraints(range(len(self.trail))))
+        status, intmodel = self._split(*self._constraints(self.atoms[:len(self.trail)]))
         if status != "sat":
             return status, None
         assert intmodel is not None
         model: Model = {}
         ints: dict[_Key, Var] = {}
         self.witness = dict(intmodel)
-        for i, atom in enumerate(self.atoms):
-            if atom.theories is None:
-                model[atom.formula.var] = self.witness[atom.formula.var] = self.val[i] is True  # type: ignore[attr-defined]
+        for atom in self.atoms:
+            if type(atom) is BoolRef:
+                model[atom.var] = self.witness[atom.var] = self.val[atom] is True  # type: ignore[attr-defined]
             else:
-                ints.update(atom.ints)
+                ints.update(((v.name, v.primed), v) for v in atom_vars(atom))
         model.update((ints[k], intmodel.get(k, 0)) for k in sorted(ints))
         return "sat", model
 
@@ -718,6 +686,7 @@ class _Query:
         return ("unknown" if unknown else "unsat"), None
 
 
+@functools.cache
 def _theory_of(atom: Cmp, value: bool) -> _Theory:
     """What the literal `atom` (negated unless `value`) asks of the integers."""
     diff: dict[_Key, int] = {}
@@ -751,12 +720,13 @@ class BuiltinSolver(Solver):
     arithmetic.
 
     A solver keeps its queries in a trie keyed by their top-level
-    conjuncts, so a query compiles only the conjuncts past the longest
-    prefix an earlier query compiled.  One live context moves between the
-    trie's nodes, and its atoms, with their theories, are shared by all the
-    solver's queries.  Trie and atoms live as long as the solver; answers
-    live as long as the process, one table per step budget, and a query
-    that any built-in solver answered before is answered from there."""
+    conjuncts, so a query enters only the conjuncts past the longest prefix
+    an earlier query entered.  One live context moves between the trie's
+    nodes.  Trie, live context and witnesses live as long as the solver.
+    Answers, one table per step budget, compiled conjuncts and literal
+    theories live as long as the process: a query that any built-in solver
+    answered before is answered from there, and a conjunct or literal that
+    any solver compiled before is not compiled again."""
 
     def __init__(self) -> None:
         self._root = _Prefix({})

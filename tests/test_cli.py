@@ -59,6 +59,16 @@ def test_non_decimal_digit_is_a_source_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_nesting_too_deep_exits_two_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "deep.rt"
+    bad.write_text("events a;\nproc main() {" + " if (true) {" * 3000 + " }" * 3000 + " }\n")
+    code, out, err = run_cli(capsys, str(bad))
+    assert code == 2
+    assert err.startswith(f"{bad}: error: 2:") and err.endswith(": nesting too deep\n")
+    assert "Traceback" not in err
+    assert "internal error" not in err
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run_cli(capsys, "/nonexistent/prog.rt")
     assert code == 2

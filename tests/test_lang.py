@@ -473,6 +473,18 @@ def test_unexpected_character_is_reported_first(src, msg):
     assert str(exc.value) == msg
 
 
+# The column where the recursion limit runs out depends on how deep the
+# caller's stack already is, so only the message is checked.
+@pytest.mark.parametrize("src", [
+    "events a;\nproc q() {" + " if (true) {" * 3000 + " }" * 3000 + " }\n",
+    "events a;\nint x;\nproc q() { x = " + "(" * 5000 + "1" + ")" * 5000 + "; }\n",
+], ids=["blocks", "parentheses"])
+def test_nesting_too_deep_is_a_parse_error(src):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value).endswith(": nesting too deep")
+
+
 @given(_source_st)
 @settings(max_examples=200, deadline=None)
 def test_parse_reports_the_lexer_error_first(src):

@@ -359,7 +359,7 @@ def test_feasible_is_a_fresh_solvers_not_unsat(budget, stream):
 
 
 def _live_state(q):
-    return q.atoms, q.index, q.clauses, q.seen, q.mentions, q.occ, q.val, q.trail, q.sat, q.sat_trail
+    return q.atoms, q.clauses, q.seen, q.mentions, q.occ, q.val, q.trail, q.sat, q.sat_trail
 
 
 def test_live_context_answers_as_fresh_solvers_wherever_it_moves(monkeypatch):
@@ -421,7 +421,7 @@ def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart(solver):
 @pytest.fixture()
 def query_calls(monkeypatch):
     """Counts, on an empty answer table, the searches (`run`), conjunct
-    compilations (`push`) and witness checks (`satisfies`) of every solver."""
+    pushes (`push`) and witness checks (`satisfies`) of every solver."""
     monkeypatch.setattr(solver_module, "_ANSWERS", {})
     calls = dict.fromkeys(("run", "push", "satisfies"), 0)
     for name in calls:
@@ -483,6 +483,35 @@ def test_verifying_a_file_again_searches_nothing(name, query_calls):
     query_calls.update(dict.fromkeys(query_calls, 0))
     assert Verifier(program, BuiltinSolver()).verify_program().to_dict() == first
     assert query_calls == {"run": 0, "push": 0, "satisfies": 0}
+
+
+def test_a_second_solver_compiles_no_conjunct_and_no_theory(monkeypatch):
+    """Compiled conjuncts and literal theories are kept per process: a second
+    solver on an empty answer table, asked what the first was asked, builds
+    neither, and gives the first solver's answers and models.  A conjunct
+    compiled again after its cache is cleared compiles to what was kept."""
+    x, y, z = tvar("x"), tvar("y"), tvar("z")
+    p, q = boolref("p"), boolref("q")
+    path = conj(cmp("<=", tconst(0), x), disj(p, cmp("!=", y, z)), implies(q, cmp("<", x, y)))
+    queries = [path, conj(path, cmp("==", y, tconst(3))), conj(path, neg(p), cmp("<", y, x)),
+               conj(path, cmp("<", x, tconst(0))), conj(cmp("<", x, y), neg(disj(q, cmp("<", x, y))))]
+    compiled, theory_of = solver_module._compiled, solver_module._theory_of
+    compiled.cache_clear()
+    theory_of.cache_clear()
+    answers, built = [], []
+    for _ in range(2):
+        monkeypatch.setattr(solver_module, "_ANSWERS", {})
+        before = compiled.cache_info().misses, theory_of.cache_info().misses
+        s = BuiltinSolver()
+        answers.append([(s.feasible(f), _answer(s.satisfiable(f))) for f in queries])
+        built.append((compiled.cache_info().misses - before[0], theory_of.cache_info().misses - before[1]))
+    assert built[0][0] > 0 and built[0][1] > 0 and built[1] == (0, 0)
+    want = [_answer(fresh(f)) for f in queries]
+    assert answers[0] == answers[1] == [(status != "unsat", (status, *rest)) for status, *rest in want]
+    conjuncts = dict.fromkeys(c for f in queries for c in (f.args if isinstance(f, And) else (f,)))
+    kept = [compiled(c) for c in conjuncts]
+    compiled.cache_clear()
+    assert [compiled(c) for c in conjuncts] == kept
 
 
 SOLVER_GOLDEN = Path(__file__).parent / "golden" / "solver_answers.jsonl"

@@ -27,9 +27,12 @@ Fresh processes of each tree also measure:
   process started by vfork and exec, as `bench/run.py` starts its workers,
   reports in ru_maxrss the larger of its own peak and its parent's;
 - the garbage collections, by generation, of one untraced `verify` pass;
-- the solver's searches (`_Query.run`), conjunct compilations (`_Query.push`)
-  and witness checks (`_Query.satisfies`) in one untraced `verify` pass,
-  counts that timing noise does not touch;
+- the solver's searches (`_Query.run`), conjunct pushes (`_Query.push`),
+  witness checks (`_Query.satisfies`), conjuncts compiled (`compiled`, the
+  misses of `solver._compiled`) and literal theories built (`theories`, the
+  misses of `solver._theory_of`) in one untraced `verify` pass, counts that
+  timing noise does not touch; `compiled` and `theories` are null on a tree
+  that does not cache those per process;
 - the lines of `src/retrace`, by file.
 """
 
@@ -89,7 +92,12 @@ elif what == "solver":
             return _inner(*args)
         out[name] = 0
         setattr(solver._Query, name, counted)
+    # conjuncts compiled and literal theories built; null on a tree that does not cache them per process
+    cached = {key: getattr(getattr(solver, name, None), "cache_info", None)
+              for key, name in (("compiled", "_compiled"), ("theories", "_theory_of"))}
+    before = {key: info and info().misses for key, info in cached.items()}
     worker.run_pass(MAKERS["verify"](seed), seed)
+    out.update((key, info and info().misses - before[key]) for key, info in cached.items())
 elif what == "pass":
     import worker
     seed = int(sys.argv[4])
