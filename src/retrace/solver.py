@@ -18,25 +18,23 @@ its two sides.  Every query has a step budget (DPLL decisions,
 Fourier-Motzkin combinations and the values the model search tries), and
 running out of it gives unknown.
 
-A built-in solver reuses work across the queries it answers, as an
-incremental DPLL(T) with push and pop does.  The verifier's queries share
-conjunct prefixes (a path condition, then the path and a branch test), so
-the solver keeps a trie of its queries keyed by their top-level conjuncts.
-Each node holds its prefix compiled and unit-propagated, as a delta over
-its parent; a query enters only the conjuncts past the longest prefix the
-trie holds and then searches, on a fresh budget, from that prefix's
-propagated state, which one live context moves to by popping back to the
-common ancestor and replaying the deltas down.  The atoms are the interned
-comparison and boolean-variable nodes.  The answers (one table per step
-budget), each conjunct's compiled clauses and each literal's linear
-constraints live per process; the trie, the live context and the witnesses
-per solver.  Every answer and model is the one that compiling the whole
-formula afresh gives: the atoms keep the query's order of first occurrence,
-the clauses their deduplication, and propagation reaches the same
-assignment whatever order it runs in, so an answer is a function of the
-formula and the step budget.  `feasible`, which only tells unsat apart,
-first checks a model kept from an earlier query against the clauses added
-since.
+Built-in solvers reuse work across queries, as an incremental DPLL(T)
+with push and pop does.  The verifier's queries share conjunct prefixes (a
+path condition, then the path and a branch test), so all built-in solvers
+of a process share one trie of queries per step budget, keyed by top-level
+conjuncts, whose nodes keep their prefix's answer and a model of it once
+known.  A query enters only the conjuncts past the longest prefix the trie
+holds and searches, on a fresh budget, from that prefix's propagated state,
+to which the trie's one live context moves by popping back to the common
+ancestor and entering the conjuncts down.  Atoms are the interned
+comparison and boolean-variable nodes; conjuncts are compiled, and literals
+turned into linear constraints, once per process.  Every answer and model
+is the one that compiling the whole formula afresh gives: the atoms keep
+the query's order of first occurrence, the clauses their deduplication, and
+propagation reaches the same assignment whatever order it runs in, so an
+answer is a function of the formula and the step budget.  `feasible`,
+which only tells unsat apart, first checks a model kept from an earlier
+query against the clauses added since.
 
 The external backend drives an SMT-LIB v2 solver over a subprocess pipe.
 """
@@ -90,8 +88,8 @@ class Solver:
     """Interface shared by the built-in and external backends: both answer
     whole formulas, and an entailment is one satisfiability query.  Both
     answer a repeated query from what they kept of the first: the built-in
-    backend from the answers every built-in solver of the process shares,
-    the external one from its own memo.  Neither evicts."""
+    backend from the trie every built-in solver of the process shares, the
+    external one from its own memo.  Neither evicts."""
 
     def satisfiable(self, f: Formula) -> SatResult:
         raise NotImplementedError
@@ -130,12 +128,7 @@ _UNBOUNDED_WINDOW = 33
 # combinations and the values the model search tries; a query that runs
 # out is unknown.
 _STEP_BUDGET = 100_000
-# Every built-in solver's answers, by step budget and then by formula.
-_ANSWERS: dict[int, dict[Formula, SatResult]] = {}
 _UNSAT = SatResult("unsat")  # the answer of a query through a refuted prefix
-# What `feasible` records when a kept witness satisfies a formula: not unsat,
-# but no answer yet for `satisfiable`, which searches and overwrites it.
-_WITNESSED = SatResult("sat")
 
 
 class _OutOfSteps(Exception):
@@ -406,33 +399,30 @@ def _dot(coeffs: Coeffs, values: dict) -> int:
 
 
 class _Prefix:
-    """A node of a solver's trie of queries, which is keyed by top-level
-    conjuncts: the conjunction of the conjuncts on the way from the root,
-    compiled and unit-propagated.  It is stored as a delta over its parent:
-    the atoms and clauses its conjunct adds and the atoms each new clause
-    mentions; `size` counts the atoms, clauses, trail and satisfied clauses
-    from the root.  A refuted prefix, one that propagation found
-    contradictory, answers unsat to every query through it.  `witness`, if
-    any, satisfies the prefix; the root's is empty.  Children are keyed by
-    their interned conjunct.  A node has no link to its parent, so the trie
-    holds no reference cycle: a path of nodes from the root stands for the
-    node at its end.  Nodes and witnesses live as long as their solver; the
-    compiled conjuncts their deltas come from, as long as the process."""
+    """A node of a trie of queries keyed by top-level conjuncts: the
+    conjunction of the conjuncts on the way from the root, compiled and
+    unit-propagated.  It keeps only its own conjunct, which the live context
+    enters to move from the parent's state to the node's; `size` counts the
+    atoms, clauses, trail and satisfied clauses from the root.  A refuted
+    prefix, one that propagation found contradictory, answers unsat to every
+    query through it.  `result` is the prefix's answer once searched for,
+    and `witness`, if any, satisfies the prefix; the root's is empty.  A
+    node has no link to its parent, so the trie holds no reference cycle: a
+    path of nodes from the root stands for the node at its end."""
 
-    __slots__ = ("children", "size", "witness", "refuted", "atoms", "clauses", "mentions")
+    __slots__ = ("conjunct", "children", "size", "result", "witness", "refuted")
 
-    def __init__(self, witness: Optional[dict] = None) -> None:
+    def __init__(self, conjunct: Optional[Formula], witness: Optional[dict] = None) -> None:
+        self.conjunct = conjunct
         self.children: dict[Formula, _Prefix] = {}
         self.size = (0, 0, 0, 0)
+        self.result: Optional[SatResult] = None
         self.witness = witness
         self.refuted = False
-        self.atoms: tuple[Formula, ...] = ()
-        self.clauses: tuple[tuple, ...] = ()
-        self.mentions: tuple[tuple[Formula, ...], ...] = ()
 
 
 class _Query:
-    """A solver's one live context, the compiled and propagated state of the
+    """A trie's one live context, the compiled and propagated state of the
     trie node at the end of `path`, and a search below it: DPLL with unit
     propagation over the clauses of the formula's negation normal form,
     Fourier-Motzkin refutation of the comparisons assigned so far, and lazy
@@ -461,7 +451,7 @@ class _Query:
     def goto(self, path: list[_Prefix]) -> None:
         """Make the state that of the node at the end of `path`, a path from
         the root: pop to the longest prefix it shares with the current path,
-        then replay the deltas below it."""
+        then enter the conjuncts below it again."""
         here = self.path
         k = min(len(here), len(path))
         while here[k - 1] is not path[k - 1]:  # paths from one root agree up to where they part
@@ -470,7 +460,7 @@ class _Query:
             self._pop(*here[k - 1].size)
             del here[k:]
         for n in path[k:]:
-            self._enter(n, here[-1].size)
+            self._enter(n.conjunct, here[-1].size)  # type: ignore[arg-type]
             here.append(n)
 
     def _pop(self, na: int, nc: int, nt: int, ns: int) -> None:
@@ -495,38 +485,46 @@ class _Query:
             self.sat[c] = False
         del self.sat_trail[ns:]
 
-    def _enter(self, n: _Prefix, parent_size: tuple[int, int, int, int]) -> bool:
-        """Extend the state of `n`'s parent, of size `parent_size`, with `n`'s
-        delta to `n`'s; False when propagation meets a conflict."""
-        _, nc, nt, _ = parent_size
-        self.atoms += n.atoms
-        self.val.update(dict.fromkeys(n.atoms))
-        self.occ.update((atom, []) for atom in n.atoms)
-        self.clauses += n.clauses
-        self.seen.update(n.clauses)
-        self.mentions += n.mentions
-        self.sat += [False] * len(n.clauses)
-        for c, mentioned in enumerate(n.mentions, nc):
-            for atom in mentioned:
-                self.occ[atom].append(c)
-        return all(self._settle(c) for c in range(nc, len(self.clauses))) and self._propagate(nt)
+    def _enter(self, conjunct: Formula, size: tuple[int, int, int, int]) -> bool:
+        """Extend the current state, of size `size`, with the atoms and
+        clauses of `conjunct` that it lacks, and propagate.  True unless
+        propagation meets a conflict; on a conflict or an exception the
+        state is popped back to `size`."""
+        _, nc, nt, _ = size
+        entered = False
+        try:
+            found, clauses = _compiled(conjunct)
+            new = [atom for atom in found if atom not in self.val]
+            self.atoms += new
+            self.val.update(dict.fromkeys(new))
+            self.occ.update((atom, []) for atom in new)
+            for clause, mentioned in clauses.items():
+                if clause not in self.seen:
+                    for atom in mentioned:
+                        self.occ[atom].append(len(self.clauses))
+                    self.clauses.append(clause)
+                    self.seen.add(clause)
+                    self.mentions.append(mentioned)
+                    self.sat.append(False)
+            entered = all(self._settle(c) for c in range(nc, len(self.clauses))) and self._propagate(nt)
+        finally:
+            if not entered:
+                self._pop(*size)
+        return entered
 
     def push(self, conjunct: Formula) -> _Prefix:
-        """Enter `conjunct`'s atoms and clauses that the current node lacks,
-        propagate, and record them as the node's child, which becomes the
-        current node unless propagation refutes it."""
+        """Enter `conjunct` below the current node and record it as the
+        node's child, which becomes the current node unless propagation
+        refutes it."""
         parent = self.path[-1]
-        node = parent.children[conjunct] = _Prefix()
-        found, clauses = _compiled(conjunct)
-        node.atoms = tuple(atom for atom in found if atom not in self.val)
-        node.clauses = tuple(clause for clause in clauses if clause not in self.seen)
-        node.mentions = tuple(clauses[clause] for clause in node.clauses)
-        if not self._enter(node, parent.size):
-            self._pop(*parent.size)
+        node = _Prefix(conjunct)
+        if self._enter(conjunct, parent.size):
+            node.size = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
+            self.path.append(node)
+        else:
             node.refuted = True
-            return node
-        node.size = len(self.atoms), len(self.clauses), len(self.trail), len(self.sat_trail)
-        self.path.append(node)
+            node.result = _UNSAT
+        parent.children[conjunct] = node
         return node
 
     def satisfies(self, witness: dict, nc: int) -> bool:
@@ -715,76 +713,68 @@ def _theory_of(atom: Cmp, value: bool) -> _Theory:
     return tuple(p for p in parts if p is not None), None
 
 
+# The trie of every built-in solver's queries, by step budget, as its one live
+# context, whose `path` starts at the root.
+_CONTEXTS: dict[int, _Query] = {}
+
+
+def _reach(f: Formula) -> tuple[_Query, list[_Prefix]]:
+    """The live context of the current step budget's trie, and the path from
+    the root to the node of `f`'s conjuncts, pushing those the trie lacks,
+    or to the first refuted node on the way."""
+    query = _CONTEXTS.get(_STEP_BUDGET) or _CONTEXTS.setdefault(_STEP_BUDGET, _Query(_Prefix(None, {})))
+    path = query.path[:1]
+    for c in f.args if isinstance(f, And) else (f,):
+        if path[-1].refuted:
+            break
+        child = path[-1].children.get(c)
+        if child is None:
+            query.goto(path)
+            child = query.push(c)
+        path.append(child)
+    return query, path
+
+
 class BuiltinSolver(Solver):
     """Self-contained decision procedure for booleans plus linear integer
     arithmetic.
 
-    A solver keeps its queries in a trie keyed by their top-level
-    conjuncts, so a query enters only the conjuncts past the longest prefix
-    an earlier query entered.  One live context moves between the trie's
-    nodes.  Trie, live context and witnesses live as long as the solver.
-    Answers, one table per step budget, compiled conjuncts and literal
-    theories live as long as the process: a query that any built-in solver
-    answered before is answered from there, and a conjunct or literal that
-    any solver compiled before is not compiled again."""
-
-    def __init__(self) -> None:
-        self._root = _Prefix({})
-        self._query = _Query(self._root)
+    A solver keeps no state of its own: all built-in solvers of a process
+    share one trie of queries per step budget and its live context.  A
+    query enters only the conjuncts past the longest prefix that any solver
+    entered before, and a query that any solver answered before is answered
+    from its node."""
 
     def satisfiable(self, f: Formula) -> SatResult:
-        answers = _ANSWERS.setdefault(_STEP_BUDGET, {})
-        r = answers.get(f)
-        if r is None or r is _WITNESSED:
-            path = self._path(f)
-            if path[-1].refuted:
-                r = _UNSAT
-            else:
-                self._query.goto(path)
-                r = self._query.run()
-                if r.status == "sat":
-                    path[-1].witness = self._query.witness
-            answers[f] = r
-        return r
+        query, path = _reach(f)
+        node = path[-1]
+        if node.result is None:
+            query.goto(path)
+            node.result = query.run()
+            if node.result.status == "sat":
+                node.witness = query.witness
+        return node.result
 
     def feasible(self, f: Formula) -> bool:
         """As `satisfiable(f).status != "unsat"`, but first check the witness
         of the deepest prefix that has one against the clauses added since;
         only if it fails does the search run."""
-        answers = _ANSWERS.setdefault(_STEP_BUDGET, {})
-        r = answers.get(f)
-        if r is None:
-            path = self._path(f)
-            if not path[-1].refuted:
-                w = next(n for n in reversed(path) if n.witness is not None)
-                self._query.goto(path)
-                if self._query.satisfies(w.witness, w.size[1]):
-                    path[-1].witness = w.witness
-                    answers[f] = _WITNESSED
-                    return True
-            r = self.satisfiable(f)
-        return r.status != "unsat"
-
-    def _path(self, f: Formula) -> list[_Prefix]:
-        """The path from the root to the trie node of `f`'s conjuncts,
-        pushing those it lacks, or to the first refuted node on the way."""
-        path = [self._root]
-        for c in f.args if isinstance(f, And) else (f,):
-            node = path[-1]
-            if node.refuted:
-                break
-            child = node.children.get(c)
-            if child is None:
-                self._query.goto(path)
-                child = self._query.push(c)
-            path.append(child)
-        return path
+        query, path = _reach(f)
+        node = path[-1]
+        if node.result is None and node.witness is None:
+            w = next(n for n in reversed(path) if n.witness is not None)
+            query.goto(path)
+            if not query.satisfies(w.witness, w.size[1]):
+                return self.satisfiable(f).status != "unsat"
+            node.witness = w.witness
+        return node.result is None or node.result.status != "unsat"
 
 
 # ---------------------------------------------------------------------------
 # External SMT-LIB backend
 # ---------------------------------------------------------------------------
 
+_SMT_TIMEOUT = 30.0  # seconds an external solver may take on one query
 
 def _smt_name(v: Var) -> str:
     return f"|{v.name}'|" if v.primed else f"|{v.name}|"
@@ -845,12 +835,11 @@ class SmtLibSolver(Solver):
     with a diagnostic rather than raised.
     """
 
-    def __init__(self, command: str, timeout: float = 30.0) -> None:
+    def __init__(self, command: str) -> None:
         import shlex  # imported here, so that `import retrace` pays only for what every caller uses
         self.command = shlex.split(command)
         if not self.command:
             raise ValueError("empty solver command")
-        self.timeout = timeout
         self._memo: dict[Formula, SatResult] = {}
 
     def satisfiable(self, f: Formula) -> SatResult:
@@ -868,7 +857,7 @@ class SmtLibSolver(Solver):
                 input=script,
                 capture_output=True,
                 text=True,
-                timeout=self.timeout,
+                timeout=_SMT_TIMEOUT,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
             return SatResult("unknown", diagnostic=f"solver crash: {exc}")

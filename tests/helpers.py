@@ -1,5 +1,6 @@
 """Shared test utilities: independent language oracles, reference
-implementations and random generators.
+implementations, random generators, and a way to empty what the built-in
+solvers of the process share.
 
 The enumeration oracle computes truncated languages by structural recursion
 over the regex, deliberately avoiding the derivative machinery it is used
@@ -15,8 +16,10 @@ import math
 import random
 from collections import ChainMap
 from typing import Iterable, Mapping, Optional
+from unittest.mock import patch
 
 from retrace import regex as rx
+from retrace import solver as solver_module
 from retrace.formula import (
     And,
     BoolLit,
@@ -607,6 +610,13 @@ def _search_linear(cons: list[Lin]) -> tuple[str, Optional[dict[Var, int]]]:
     if model is not None:
         return "sat", model
     return ("unknown", None) if incomplete else ("unsat", None)
+
+
+def empty_solver_state():
+    """The tries, answers and witnesses that every built-in solver of the
+    process shares, emptied while the context lasts, so that what a solver
+    is asked is searched for and not read from an earlier test's answers."""
+    return patch.object(solver_module, "_CONTEXTS", {})
 
 
 class ReferenceSolver(Solver):

@@ -7,16 +7,15 @@ cover verification only, not parsing or test setup.
 
 import random
 import time
-from unittest.mock import patch
 
 from retrace import regex as rx
-from retrace import solver as solver_module
 from retrace.corpus import load_corpus
 from retrace.interp import check_triple_random
 from retrace.solver import BuiltinSolver
 from retrace.verifier import TRACE_INCLUSION, verify_program
 from helpers import (
     brute_force_sat,
+    empty_solver_state,
     enum_subset,
     random_formula,
     random_regex,
@@ -30,10 +29,10 @@ def _report(n: int, text: str) -> None:
 
 
 def _verify_timed(name: str):
-    """Verify as a fresh process does: on an empty answer table, so that
+    """Verify as a fresh process does: on an empty solver state, so that
     no earlier test's answers count towards the time."""
     program = load_corpus(name)
-    with patch.object(solver_module, "_ANSWERS", {}):
+    with empty_solver_state():
         t0 = time.perf_counter()
         report = verify_program(program)
         return report, time.perf_counter() - t0
@@ -163,22 +162,22 @@ def test_criterion_7_while_star_gap():
                "cannot prove (even odd)*")
 
 
-def test_criterion_8_solver_conformance(monkeypatch):
+def test_criterion_8_solver_conformance():
     rng = random.Random(80_000)
-    monkeypatch.setattr(solver_module, "_ANSWERS", {})  # search, not earlier tests' answers
     solver = BuiltinSolver()
     formulas = 5000
     names_pool = ["x", "y", "z", "w"]
     sat_count = 0
-    for _ in range(formulas):
-        k = rng.randint(1, 4)
-        names = names_pool[:k]
-        f = with_domain_bounds(random_formula(rng, names), names)
-        got = solver.satisfiable(f)
-        assert got.status != "unknown", f"unknown on bounded fragment: {f}"
-        want = brute_force_sat(f, names)
-        assert (got.status == "sat") == want, f"disagreement on {f}"
-        sat_count += got.status == "sat"
+    with empty_solver_state():  # search, not earlier tests' answers
+        for _ in range(formulas):
+            k = rng.randint(1, 4)
+            names = names_pool[:k]
+            f = with_domain_bounds(random_formula(rng, names), names)
+            got = solver.satisfiable(f)
+            assert got.status != "unknown", f"unknown on bounded fragment: {f}"
+            want = brute_force_sat(f, names)
+            assert (got.status == "sat") == want, f"disagreement on {f}"
+            sat_count += got.status == "sat"
     _report(8, f"{formulas} bounded formulas (≤4 vars in [-8,8]): solver "
                f"matches exhaustive enumeration, no unknowns "
                f"({sat_count} sat)")

@@ -4,10 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from retrace import solver
 from retrace.cli import main
 from retrace.corpus import CORPUS, MUTANTS, path
 from retrace.verifier import Verifier
+from helpers import empty_solver_state
 
 
 def run_cli(capsys, *args):
@@ -16,16 +16,16 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
-def test_many_files_in_one_call_give_each_its_own_document(monkeypatch, capsys):
+def test_many_files_in_one_call_give_each_its_own_document(capsys):
     # one process verifies every file, and its solvers share their answers
     files = [str(path(name)) for name in {**CORPUS, **MUTANTS}]
-    monkeypatch.setattr(solver, "_ANSWERS", {})
-    code, out, _ = run_cli(capsys, "--json", *files)
+    with empty_solver_state():
+        code, out, _ = run_cli(capsys, "--json", *files)
     docs = json.loads(out)["files"]
     assert code == 1 and [d["source"] for d in docs] == files
     for f, doc in zip(files, docs):
-        monkeypatch.setattr(solver, "_ANSWERS", {})
-        _, single, _ = run_cli(capsys, "--json", f)
+        with empty_solver_state():
+            _, single, _ = run_cli(capsys, "--json", f)
         assert json.loads(single)["files"] == [doc], f
 
 

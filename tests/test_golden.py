@@ -36,6 +36,7 @@ from retrace.cli import main
 from retrace.corpus import CORPUS, MUTANTS
 from retrace.interp import check_triple_random
 from retrace.lang import If, Seq, While, load_file, parse
+from helpers import empty_solver_state
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src" / "retrace" / "corpus"
@@ -79,18 +80,18 @@ def test_json_reports_match_golden():
 
 def test_one_process_gives_the_goldens_in_either_order(monkeypatch, capsys):
     # the solvers of one process share their answers, and what one file's
-    # verification leaves in the table must change no other file's report,
+    # verification leaves in their trie must change no other file's report,
     # nor must what a verification on a budget of one step leaves there
-    monkeypatch.setattr(solver, "_ANSWERS", {})
     monkeypatch.chdir(CORPUS_DIR)
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_STEP_BUDGET", 1)
-        main(["--json", *FILES.values()])
-    capsys.readouterr()
-    names = list(FILES)  # registry order
-    for name in names + names[::-1]:
-        main(["--json", FILES[name]])
-        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
+    with empty_solver_state():
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_STEP_BUDGET", 1)
+            main(["--json", *FILES.values()])
+        capsys.readouterr()
+        names = list(FILES)  # registry order
+        for name in names + names[::-1]:
+            main(["--json", FILES[name]])
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
 
 
 def oracle_lines() -> list[tuple[str, int, str]]:

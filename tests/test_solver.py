@@ -32,30 +32,23 @@ from retrace.formula import (
 )
 from retrace.solver import BuiltinSolver, SmtLibSolver, Solver, make_solver, to_smtlib
 from retrace.verifier import Verifier
-from helpers import ReferenceSolver, random_formula, with_domain_bounds, brute_force_sat
+from helpers import ReferenceSolver, empty_solver_state, random_formula, with_domain_bounds, brute_force_sat
 
 b = BoolRef(Var("b"))
 bp = BoolRef(Var("b", True))
 
 
-def empty_answers():
-    """Every built-in solver's answer table, emptied while the context lasts,
-    so that what a solver is asked is searched for and not read from an
-    earlier test's answers."""
-    return patch.object(solver_module, "_ANSWERS", {})
-
-
 def fresh(f):
-    """What a new solver answers on an empty answer table: the reference
-    for what one solver reuses across queries."""
-    with empty_answers():
+    """What a solver answers on an empty solver state: the reference for
+    what the solvers of a process reuse across queries."""
+    with empty_solver_state():
         return BuiltinSolver().satisfiable(f)
 
 
 @pytest.fixture()
-def solver(monkeypatch):
-    monkeypatch.setattr(solver_module, "_ANSWERS", {})
-    return BuiltinSolver()
+def solver():
+    with empty_solver_state():
+        yield BuiltinSolver()
 
 
 def test_conflicting_equalities_unsat(solver):
@@ -152,9 +145,8 @@ def _satisfied_by(f, model):
 
 @pytest.fixture()
 def linear_searches(monkeypatch):
-    """Counts the leaf decider's runs, on an empty answer table, and fails
+    """Counts the leaf decider's runs, on an empty solver state, and fails
     a query that would need more than 100 of them."""
-    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     calls = []
     inner = solver_module._search_linear
 
@@ -164,7 +156,8 @@ def linear_searches(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(solver_module, "_search_linear", counted)
-    return calls
+    with empty_solver_state():
+        yield calls
 
 
 def _excluding_0_to_19(hi):
@@ -207,14 +200,14 @@ def test_step_budget_gives_unknown_never_unsat(monkeypatch):
     cycle = conj(cmp("<", x, y), cmp("<", y, z), cmp("<", z, w), cmp("<", w, x))
     p, q = boolref("p"), boolref("q")
     clauses = conj(disj(p, q), disj(neg(p), q), disj(p, neg(q)), disj(neg(p), neg(q)))
-    monkeypatch.setattr(solver_module, "_ANSWERS", {})
-    for f in (cycle, clauses):
-        assert BuiltinSolver().satisfiable(f).status == "unsat"
-    monkeypatch.setattr(solver_module, "_STEP_BUDGET", 1)
-    for f in (cycle, clauses):
-        r = BuiltinSolver().satisfiable(f)
-        assert r.status == "unknown"
-        assert "step budget" in r.diagnostic
+    with empty_solver_state():
+        for f in (cycle, clauses):
+            assert BuiltinSolver().satisfiable(f).status == "unsat"
+        monkeypatch.setattr(solver_module, "_STEP_BUDGET", 1)
+        for f in (cycle, clauses):
+            r = BuiltinSolver().satisfiable(f)
+            assert r.status == "unknown"
+            assert "step budget" in r.diagnostic
 
 
 def test_step_budget_covers_the_model_search(monkeypatch):
@@ -229,7 +222,6 @@ def test_step_budget_covers_the_model_search(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(solver_module, "_bounds_for", counted)
-    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     a, b = tvar("a"), tvar("b")
     f = conj(
         cmp("<=", tconst(27), a.scaled(11) + b.scaled(13)),
@@ -239,7 +231,8 @@ def test_step_budget_covers_the_model_search(monkeypatch):
         *(cmp("<=", tconst(0), tvar(z)) for z in ("z1", "z2")),
         *(cmp("<=", tvar(z), tconst(4000)) for z in ("z1", "z2")),
     )
-    r = BuiltinSolver().satisfiable(f)
+    with empty_solver_state():
+        r = BuiltinSolver().satisfiable(f)
     assert r.status == "unknown"
     assert "step budget" in r.diagnostic
 
@@ -289,7 +282,7 @@ def test_agrees_with_reference_solver(f):
         assert _satisfied_by(f, got.model)
 
 
-# -- one solver, many queries ---------------------------------------------------
+# -- many queries on one trie ---------------------------------------------------
 
 
 def _answer(r):
@@ -321,17 +314,18 @@ def _ask(solver, path, query):
 @given(_prefix_streams())
 @settings(max_examples=60, deadline=None)
 def test_one_solver_answers_a_stream_as_fresh_solvers_do(budget, stream):
-    """What one solver reuses across queries that share prefixes changes no
-    status, model or diagnostic; with a small step budget some answers are
-    unknown, and those too are the fresh solver's, never a wrong unsat."""
+    """What the solvers of a process reuse across queries that share
+    prefixes changes no status, model or diagnostic; with a small step
+    budget some answers are unknown, and those too are the fresh solver's,
+    never a wrong unsat."""
     path, queries = stream
 
     def fresh_answer(q):
-        with empty_answers():
+        with empty_solver_state():
             return _answer(_ask(BuiltinSolver(), path, q))
 
     full = [fresh_answer(q) for q in queries]
-    with patch.object(solver_module, "_STEP_BUDGET", budget), empty_answers():
+    with patch.object(solver_module, "_STEP_BUDGET", budget), empty_solver_state():
         shared = BuiltinSolver()
         for q, want_full in zip(queries, full):
             got = _answer(_ask(shared, path, q))
@@ -347,7 +341,7 @@ def test_feasible_is_a_fresh_solvers_not_unsat(budget, stream):
     fresh solver's `satisfiable(f).status != "unsat"` says, and trying a
     witness first changes no answer or model of `satisfiable`."""
     path, queries = stream
-    with patch.object(solver_module, "_STEP_BUDGET", budget), empty_answers():
+    with patch.object(solver_module, "_STEP_BUDGET", budget), empty_solver_state():
         shared = BuiltinSolver()
         for n, (kind, k, extra) in enumerate(queries):
             f = conj(*path[:k], extra if kind == "sat" else neg(extra))
@@ -362,11 +356,20 @@ def _live_state(q):
     return q.atoms, q.clauses, q.seen, q.mentions, q.occ, q.val, q.trail, q.sat, q.sat_trail
 
 
-def test_live_context_answers_as_fresh_solvers_wherever_it_moves(monkeypatch):
-    """One solver's context goes down a deep path, to a sibling, back to the
-    root, through a refuted push and past a search that runs out of steps.
-    Each answer is a fresh solver's, and the context always holds what
-    replaying its node's deltas from the root gives."""
+def _assert_replayable():
+    """Each step budget's live context holds what entering its path's
+    conjuncts from the root again gives."""
+    for live in solver_module._CONTEXTS.values():
+        replayed = solver_module._Query(live.path[0])
+        replayed.goto(live.path)
+        assert _live_state(live) == _live_state(replayed)
+
+
+def test_live_context_answers_as_fresh_solvers_wherever_it_moves():
+    """The process's live context goes down a deep path, to a sibling, back
+    to the root, through a refuted push and past a search that runs out of
+    steps.  Each answer is a fresh state's, and the context always holds
+    what entering its path's conjuncts from the root again gives."""
     x, y, z = tvar("x"), tvar("y"), tvar("z")
     p, q = boolref("p"), boolref("q")
     deep = [cmp("<=", tconst(0), x), disj(p, q), cmp("<", x, y), implies(p, cmp("==", y, z)),
@@ -385,19 +388,57 @@ def test_live_context_answers_as_fresh_solvers_wherever_it_moves(monkeypatch):
         ("satisfiable", 1, conj(*deep[:4], cmp("<", z, x)), "unknown"),  # answered before
         ("satisfiable", full, conj(*deep), "sat"),  # the first query again
     ]
-    monkeypatch.setattr(solver_module, "_ANSWERS", {})
-    shared = BuiltinSolver()
-    for method, budget, f, expected in script:
-        with patch.object(solver_module, "_STEP_BUDGET", budget):
-            want = fresh(f)
-            got = getattr(shared, method)(f)
-        if method == "satisfiable":
-            assert _answer(got) == _answer(want) and got.status == expected
-        else:
-            assert got == (want.status != "unsat") == expected
-        replayed = solver_module._Query(shared._root)
-        replayed.goto(shared._query.path)
-        assert _live_state(shared._query) == _live_state(replayed)
+    with empty_solver_state():
+        for method, budget, f, expected in script:
+            with patch.object(solver_module, "_STEP_BUDGET", budget):
+                want = fresh(f)
+                got = getattr(BuiltinSolver(), method)(f)
+            if method == "satisfiable":
+                assert _answer(got) == _answer(want) and got.status == expected
+            else:
+                assert got == (want.status != "unsat") == expected
+            _assert_replayable()
+
+
+@pytest.mark.parametrize("where", ["_compiled", "_kleene"])
+def test_a_conjunct_that_raises_leaves_the_trie_as_it_was(where, monkeypatch):
+    """An exception while a conjunct is entered, by a push or by a replay,
+    before its atoms and clauses are in (`_compiled`) or after (`_kleene`),
+    registers no node and pops the live context back to the last node it
+    holds whole: the same solver and new ones then answer as a fresh state
+    does, also queries through the node that failed."""
+    x, y = tvar("x"), tvar("y")
+    low, mid = cmp("<=", tconst(0), x), cmp("<", x, y)
+    queries = [conj(low, mid, cmp("<", y, tconst(0))), conj(low, mid, cmp("<", y, tconst(-5))),
+               conj(low, mid), conj(low, cmp("<", y, x)), cmp("<", y, x)]
+    want = [_answer(fresh(f)) for f in queries]
+    assert [status for status, _, _ in want] == ["unsat", "unsat", "sat", "sat", "sat"]
+    inner = getattr(solver_module, where)
+
+    def failing(t, *rest):
+        if t is mid:
+            raise RuntimeError("injected")
+        return inner(t, *rest)
+
+    with empty_solver_state():
+        first = BuiltinSolver()
+        assert first.satisfiable(low).status == "sat"
+        with monkeypatch.context() as m:
+            m.setattr(solver_module, where, failing)
+            with pytest.raises(RuntimeError, match="injected"):  # in a push
+                first.satisfiable(queries[0])
+        _assert_replayable()
+        root = solver_module._CONTEXTS[solver_module._STEP_BUDGET].path[0]
+        assert mid not in root.children[low].children
+        assert [_answer(first.satisfiable(f)) for f in queries] == want
+        assert first.satisfiable(queries[4]).status == "sat"  # the context is away from `mid`
+        with monkeypatch.context() as m:
+            m.setattr(solver_module, where, failing)
+            with pytest.raises(RuntimeError, match="injected"):  # in a replay
+                first.feasible(conj(low, mid, cmp("<", y, tconst(7))))
+        _assert_replayable()
+        assert [_answer(s.satisfiable(f)) for s in (first, BuiltinSolver()) for f in queries] == want * 2
+        _assert_replayable()
 
 
 def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart(solver):
@@ -420,23 +461,23 @@ def test_one_solver_keys_theories_by_variable_and_keeps_extras_apart(solver):
 
 @pytest.fixture()
 def query_calls(monkeypatch):
-    """Counts, on an empty answer table, the searches (`run`), conjunct
+    """Counts, on an empty solver state, the searches (`run`), conjunct
     pushes (`push`) and witness checks (`satisfies`) of every solver."""
-    monkeypatch.setattr(solver_module, "_ANSWERS", {})
     calls = dict.fromkeys(("run", "push", "satisfies"), 0)
     for name in calls:
         def counted(*args, _inner=getattr(solver_module._Query, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(solver_module._Query, name, counted)
-    return calls
+    with empty_solver_state():
+        yield calls
 
 
 @pytest.mark.parametrize("budgets", [(1, solver_module._STEP_BUDGET), (solver_module._STEP_BUDGET, 1)])
 def test_answers_are_kept_per_step_budget(budgets, query_calls):
-    """An answer is kept for the budget it was found under: a query left
-    unknown by a budget of one step is decided on the full budget, and the
-    other way round, on new solvers and on one solver alike."""
+    """An answer is kept in the trie of the budget it was found under: a
+    query left unknown by a budget of one step is decided on the full
+    budget, and the other way round, whichever solver asks."""
     x, y, z, w = (tvar(n) for n in "xyzw")
     cycle = conj(cmp("<", x, y), cmp("<", y, z), cmp("<", z, w), cmp("<", w, x))
     chain = conj(cmp("<", x, y), cmp("<", y, z), cmp("<", z, w))
@@ -456,9 +497,10 @@ def test_answers_are_kept_per_step_budget(budgets, query_calls):
 
 
 def test_satisfiable_after_a_witness_hit_searches(query_calls):
-    """`feasible` records that a kept witness satisfies a query; any solver
-    then takes the query for not unsat without a search, and `satisfiable`
-    still answers it with the model an empty table gives, not the witness."""
+    """`feasible` keeps on a query's node a witness that satisfies it; any
+    solver then takes the query for not unsat without a search, and
+    `satisfiable` still answers it with the model an empty state gives, not
+    the witness."""
     x, y = tvar("x"), tvar("y")
     p = cmp("<=", tconst(0), x)
     f = conj(p, cmp("<=", y, x))
@@ -475,6 +517,23 @@ def test_satisfiable_after_a_witness_hit_searches(query_calls):
     assert _answer(BuiltinSolver().satisfiable(f)) == _answer(want) and query_calls["run"] == 2
 
 
+def test_a_second_solver_pushes_no_conjunct_that_a_first_one_entered(query_calls):
+    """Every solver of the process reads and extends one trie: a second
+    solver asked a prefix of what a first one was asked pushes nothing, and
+    one conjunct past it pushes that conjunct alone."""
+    x, y, z = tvar("x"), tvar("y"), tvar("z")
+    path = [cmp("<=", tconst(0), x), cmp("<", x, y), disj(boolref("p"), cmp("==", y, z))]
+    longer = conj(*path, cmp("<", z, tconst(3)))
+    queries = [conj(*path[:2]), conj(*path), conj(*path, cmp("<", z, x))]
+    want = [_answer(fresh(f)) for f in queries]
+    BuiltinSolver().satisfiable(longer)
+    query_calls.update(dict.fromkeys(query_calls, 0))
+    second = BuiltinSolver()
+    assert [second.feasible(f) for f in queries[:2]] == [True, True] and query_calls["push"] == 0
+    assert [_answer(second.satisfiable(f)) for f in queries[:2]] == want[:2] and query_calls["push"] == 0
+    assert _answer(second.satisfiable(queries[2])) == want[2] and query_calls["push"] == 1
+
+
 @pytest.mark.parametrize("name", sorted({**CORPUS, **MUTANTS}))
 def test_verifying_a_file_again_searches_nothing(name, query_calls):
     program = load_corpus(name)
@@ -485,9 +544,9 @@ def test_verifying_a_file_again_searches_nothing(name, query_calls):
     assert query_calls == {"run": 0, "push": 0, "satisfies": 0}
 
 
-def test_a_second_solver_compiles_no_conjunct_and_no_theory(monkeypatch):
+def test_a_second_solver_compiles_no_conjunct_and_no_theory():
     """Compiled conjuncts and literal theories are kept per process: a second
-    solver on an empty answer table, asked what the first was asked, builds
+    solver on an empty solver state, asked what the first was asked, builds
     neither, and gives the first solver's answers and models.  A conjunct
     compiled again after its cache is cleared compiles to what was kept."""
     x, y, z = tvar("x"), tvar("y"), tvar("z")
@@ -500,10 +559,10 @@ def test_a_second_solver_compiles_no_conjunct_and_no_theory(monkeypatch):
     theory_of.cache_clear()
     answers, built = [], []
     for _ in range(2):
-        monkeypatch.setattr(solver_module, "_ANSWERS", {})
         before = compiled.cache_info().misses, theory_of.cache_info().misses
-        s = BuiltinSolver()
-        answers.append([(s.feasible(f), _answer(s.satisfiable(f))) for f in queries])
+        with empty_solver_state():
+            s = BuiltinSolver()
+            answers.append([(s.feasible(f), _answer(s.satisfiable(f))) for f in queries])
         built.append((compiled.cache_info().misses - before[0], theory_of.cache_info().misses - before[1]))
     assert built[0][0] > 0 and built[0][1] > 0 and built[1] == (0, 0)
     want = [_answer(fresh(f)) for f in queries]
@@ -553,7 +612,7 @@ def test_corpus_answers_match_golden():
         PYTHONPATH=src:tests python -c "import test_solver as t; t.SOLVER_GOLDEN.write_text(t.corpus_answers(), encoding='utf-8')"
     """
     want = SOLVER_GOLDEN.read_text(encoding="utf-8").splitlines()
-    with empty_answers():
+    with empty_solver_state():
         got = corpus_answers().splitlines()
     changed = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not changed, (
@@ -610,6 +669,14 @@ def test_external_solver_crash_is_unknown(tmp_path):
     r = s.satisfiable(b)
     assert r.status == "unknown"
     assert "crash" in (r.diagnostic or "")
+
+
+def test_external_solver_timeout_is_unknown(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver_module, "_SMT_TIMEOUT", 0.2)
+    s = SmtLibSolver(_stub(tmp_path, "import time\ntime.sleep(30)\nprint('sat')"))
+    r = s.satisfiable(b)
+    assert r.status == "unknown"
+    assert "solver crash" in r.diagnostic and "timed out" in r.diagnostic
 
 
 def test_external_solver_garbage_is_unknown(tmp_path):

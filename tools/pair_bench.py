@@ -33,6 +33,10 @@ Fresh processes of each tree also measure:
   misses of `solver._theory_of`) in one untraced `verify` pass, counts that
   timing noise does not touch; `compiled` and `theories` are null on a tree
   that does not cache those per process;
+- what the solver keeps after that pass: the nodes of the process's tries
+  (`trie_nodes`, from `solver._CONTEXTS`) and the entries of its answer
+  table (`answers`, from `solver._ANSWERS`), each null on a tree that does
+  not have that structure;
 - the lines of `src/retrace`, by file.
 """
 
@@ -98,6 +102,17 @@ elif what == "solver":
     before = {key: info and info().misses for key, info in cached.items()}
     worker.run_pass(MAKERS["verify"](seed), seed)
     out.update((key, info and info().misses - before[key]) for key, info in cached.items())
+    # what the solver keeps; null on a tree without the structure
+    contexts, answers = getattr(solver, "_CONTEXTS", None), getattr(solver, "_ANSWERS", None)
+    out["trie_nodes"] = None
+    if contexts is not None:
+        stack = [q.path[0] for q in contexts.values()]
+        out["trie_nodes"] = len(stack)
+        while stack:
+            children = stack.pop().children.values()
+            out["trie_nodes"] += len(children)
+            stack.extend(children)
+    out["answers"] = None if answers is None else sum(map(len, answers.values()))
 elif what == "pass":
     import worker
     seed = int(sys.argv[4])
